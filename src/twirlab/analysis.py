@@ -22,6 +22,8 @@ from .core import (
     DEFAULT_TOL,
     SystemSpec,
     ValidationReport,
+    _decide_distinct,
+    _row_keys,
     in_state_cone,
     numerical_rank,
     orthonormal_range,
@@ -32,6 +34,7 @@ from .errors import (
     DimensionMismatch,
     InconsistentWorlds,
     NotSeparable,
+    SolverFailure,
     TrivialAction,
 )
 from .symmetry import GroupAction, TwirlProjector, collective_action, twirl_projector
@@ -68,23 +71,7 @@ def build_twirled_world(s: SystemSpec, a: GroupAction, tol: float = DEFAULT_TOL,
         raise DimensionMismatch(
             f"action dimension {a.dim} does not match system {s.id} ({s.dim})")
 
-    for lab, m in zip(a.labels, a.elements):
-        ur = float(np.max(np.abs(s.unit_effect @ m - s.unit_effect)))
-        if ur > tol:
-            raise ActionNotPhysical(
-                f"element {lab!r} moves the unit effect (residual {ur:.3e})")
-    gen_keys = {_round_key(g) for g in s.state_generators.T}
-    for lab, m in zip(a.labels, a.elements):
-        moved = m @ s.state_generators
-        for i in range(moved.shape[1]):
-            v = moved[:, i]
-            if _round_key(v) in gen_keys:
-                continue
-            ok, res = in_state_cone(s, v, tol)
-            if not ok:
-                raise ActionNotPhysical(
-                    f"element {lab!r} maps state generator {i} outside the state "
-                    f"space (residual {res:.3e})")
+    _check_physical(s, a, tol)
 
     p = twirl_projector(a, tol)
     tw_states = p.matrix @ s.state_generators
@@ -104,10 +91,27 @@ def build_twirled_world(s: SystemSpec, a: GroupAction, tol: float = DEFAULT_TOL,
                         K=sbasis.shape[1], fixed_point_residual=fp, validation=rep)
 
 
-def _round_key(v: np.ndarray) -> bytes:
-    r = np.round(np.asarray(v, dtype=float), 10)
-    r[r == 0.0] = 0.0
-    return r.tobytes()
+def _check_physical(s: SystemSpec, a: GroupAction, tol: float) -> None:
+    """Raise ActionNotPhysical unless every element keeps the unit effect
+    and maps every state generator into the state space."""
+    for lab, m in zip(a.labels, a.elements):
+        ur = float(np.max(np.abs(s.unit_effect @ m - s.unit_effect)))
+        if ur > tol:
+            raise ActionNotPhysical(
+                f"element {lab!r} moves the unit effect (residual {ur:.3e})")
+    # moved generators that are listed generators again need no test, and
+    # each other distinct image is decided once across all elements
+    gen_keys = set(_row_keys(s.state_generators.T))
+    decided = set()
+    for lab, m in zip(a.labels, a.elements):
+        moved = (m @ s.state_generators).T
+        todo = np.flatnonzero([k not in gen_keys for k in _row_keys(moved)])
+        for j, ok, res in _decide_distinct(moved[todo], lambda v: in_state_cone(s, v, tol),
+                                           decided):
+            if not ok:
+                raise ActionNotPhysical(
+                    f"element {lab!r} maps state generator {todo[j]} outside the state "
+                    f"space (residual {res:.3e})")
 
 
 def count_parameters(w: TwirledWorld, rank_tol: float = DEFAULT_RANK_TOL) -> int:
@@ -140,6 +144,7 @@ class LocalityVerdict:
     direct_check_fails: bool
     methods_agree: bool
     witness: Witness | None
+    witness_error: str | None = None  # why no witness exists although the check fails
 
 
 def locality_verdict(wa: TwirledWorld, wb: TwirledWorld, wab: TwirledWorld,
@@ -151,6 +156,9 @@ def locality_verdict(wa: TwirledWorld, wb: TwirledWorld, wab: TwirledWorld,
     effects against the invariant joint states; a nontrivial null space
     means some invariant state difference is invisible to all local
     invariant statistics, and is turned into an explicit witness pair.
+    When no pair can be built (no invariant effect separates it, the
+    family is degenerate along the direction, or a step LP fails) the
+    failed check stands and witness_error says why.
     """
     if wab.world.dim != wa.world.dim * wb.world.dim:
         raise InconsistentWorlds("joint world is not the composite of the parts")
@@ -167,14 +175,17 @@ def locality_verdict(wa: TwirledWorld, wb: TwirledWorld, wab: TwirledWorld,
     prank = numerical_rank(pairing, rank_tol)
     direct_fails = prank < kab
 
-    witness = None
+    witness = witness_error = None
     if direct_fails:
-        witness = _build_witness(wab, pairing, sab, tol)
+        try:
+            witness = _build_witness(wab, pairing, sab, tol)
+        except (NotSeparable, SolverFailure) as exc:
+            witness_error = str(exc)
     return LocalityVerdict(k_a=ka, k_b=kb, k_ab=kab,
                            criterion_fails_locality=criterion,
                            pairing_rank=prank, direct_check_fails=direct_fails,
                            methods_agree=(criterion == direct_fails),
-                           witness=witness)
+                           witness=witness, witness_error=witness_error)
 
 
 def _build_witness(wab: TwirledWorld, pairing: np.ndarray, sab: np.ndarray,
@@ -206,7 +217,11 @@ def _build_witness(wab: TwirledWorld, pairing: np.ndarray, sab: np.ndarray,
 
 
 def _max_step(center: np.ndarray, direction: np.ndarray, gens: np.ndarray) -> float:
-    """Largest t with center + t * direction still in conv(columns of gens)."""
+    """Largest t with center + t * direction still in conv(columns of gens).
+
+    Raises SolverFailure, with the solver's status and message, when the
+    program does not solve.
+    """
     d, n = gens.shape
     # variables: weights (n), t; maximize t subject to G w - t*dir = center
     c = np.zeros(n + 1)
@@ -217,7 +232,7 @@ def _max_step(center: np.ndarray, direction: np.ndarray, gens: np.ndarray) -> fl
     res = linprog(c, A_eq=a_eq, b_eq=b_eq,
                   bounds=[(0, None)] * n + [(0, None)], method="highs")
     if not res.success:
-        return 0.0
+        raise SolverFailure("witness step LP", res.status, res.message)
     return float(res.x[-1])
 
 

@@ -157,6 +157,8 @@ def _cmd_witness(args) -> int:
               f"{w['product_effect_discrepancy']:.2e}")
         print(f"  separating invariant effect index {w['separating_index']}, "
               f"gap {w['separating_gap']:.6g}")
+    elif loc.get("witness_error"):
+        print(f"no locality witness: {loc['witness_error']}")
     else:
         print("no locality witness: the twirled world is locally tomographic")
     ub = data.get("ubiquity", {})

@@ -27,9 +27,12 @@ from . import hermitian
 
 DEFAULT_TOL = 1e-9
 
-# decimal places used when hashing generator vectors for dedup / lookup
+# decimal places of the key that looks a vector up among listed generators
 _KEY_DECIMALS = 10
 
+# row-wise work (keys, steered vectors) runs in blocks of about this many
+# floats, which bounds its transient memory
+_BLOCK_FLOATS = 1 << 14
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
@@ -39,10 +42,37 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _vec_key(v: np.ndarray) -> bytes:
-    r = np.round(np.asarray(v, dtype=float), _KEY_DECIMALS)
-    r[r == 0.0] = 0.0  # normalize -0.0
-    return r.tobytes()
+def _row_keys(rows: np.ndarray, decimals: int | None = _KEY_DECIMALS):
+    """Byte key of each row of a 2-D array, with -0.0 folded into 0.0.
+
+    Rounded to `decimals` places the key looks a vector up among listed
+    generators; with decimals=None it is the exact bytes, so two rows share
+    a key only when they are the same vector.  Keys are yielded in row
+    order and made one block at a time.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    step = max(1, _BLOCK_FLOATS // rows.shape[1])
+    for start in range(0, rows.shape[0], step):
+        r = rows[start:start + step]
+        r = np.ascontiguousarray(r if decimals is None else np.round(r, decimals)) + 0.0
+        yield from r.view(np.dtype((np.void, r.itemsize * r.shape[1]))).ravel().tolist()
+
+
+def _decide_distinct(rows: np.ndarray, decide, seen: set):
+    """Decide each distinct row of a 2-D array once.
+
+    Rows are compared by their exact bytes with -0.0 folded into 0.0, so
+    rows that share a verdict are the same vector.  Rows whose key is in
+    seen are skipped, and the keys of the others are added to it.  Yields
+    (index, ok, residual) from decide(row) at the first occurrence of each
+    new row, in row order.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    for i, key in enumerate(_row_keys(rows, decimals=None)):
+        if key not in seen:
+            seen.add(key)
+            ok, res = decide(rows[i] + 0.0)
+            yield i, ok, res
 
 
 @dataclass(frozen=True)
@@ -98,12 +128,6 @@ class SystemSpec:
     @property
     def n_effects(self) -> int:
         return self.effect_generators.shape[0]
-
-    def states_iter(self):
-        return (self.state_generators[:, i] for i in range(self.n_states))
-
-    def effects_iter(self):
-        return (self.effect_generators[i] for i in range(self.n_effects))
 
 
 @dataclass(frozen=True)
@@ -305,27 +329,26 @@ def validate_system(s: SystemSpec, tol: float = DEFAULT_TOL) -> ValidationReport
 
     table = s.effect_generators @ s.state_generators
     res_rng = float(max(0.0, -table.min(initial=0.0), table.max(initial=0.0) - 1.0))
+    del table  # as large as the effect list; not kept through the closure checks
     checks.append(CheckResult("pairing_range", res_rng <= tol, res_rng,
                               detail="effect(state) within [0,1] for all generators"))
 
-    keys = {_vec_key(e) for e in s.effect_generators}
+    keys = set(_row_keys(s.effect_generators))
+    todo = np.flatnonzero([k not in keys for k in
+                           _row_keys(s.unit_effect - s.effect_generators)])
     comp_res = 0.0
-    comp_ok = True
     comp_detail = ""
-    for idx, e in enumerate(s.effects_iter()):
-        comp = s.unit_effect - e
-        if _vec_key(comp) in keys:
-            continue
-        ok, dist = in_effect_set(s, comp, tol)
+    for j, ok, dist in _decide_distinct(s.unit_effect - s.effect_generators[todo],
+                                        lambda f: in_effect_set(s, f, tol), set()):
         if not ok:
-            comp_ok = False
             comp_res = max(comp_res, dist)
             if not comp_detail:
-                comp_detail = f"complement of effect generator {idx} is not a valid effect"
-    checks.append(CheckResult("complement_closure", comp_ok, comp_res, comp_detail))
+                comp_detail = (f"complement of effect generator {todo[j]} "
+                               "is not a valid effect")
+    checks.append(CheckResult("complement_closure", not comp_detail, comp_res, comp_detail))
 
     zero = np.zeros(s.dim)
-    if _vec_key(zero) in keys:
+    if next(_row_keys(zero)) in keys:
         checks.append(CheckResult("zero_effect", True, 0.0))
     else:
         ok, dist = in_effect_set(s, zero, tol)
@@ -336,15 +359,14 @@ def validate_system(s: SystemSpec, tol: float = DEFAULT_TOL) -> ValidationReport
 
 def _complement_complete(effects: np.ndarray, unit: np.ndarray) -> np.ndarray:
     """Append u - e for every listed effect not already present."""
-    rows = [np.asarray(e, dtype=float) for e in effects]
-    seen = {_vec_key(e) for e in rows}
-    for e in list(rows):
-        comp = unit - e
-        k = _vec_key(comp)
+    effects = np.asarray(effects, dtype=float)
+    seen = set(_row_keys(effects))
+    new = []
+    for i, k in enumerate(_row_keys(unit - effects)):
         if k not in seen:
-            rows.append(comp)
+            new.append(i)
             seen.add(k)
-    return np.array(rows)
+    return np.vstack([effects, unit - effects[new]])
 
 
 def compose_systems(c: CompositeSpec, tol: float = DEFAULT_TOL,
@@ -416,11 +438,6 @@ class SteeringReport:
     passed: bool
 
 
-def _steered_marginals(omega: np.ndarray, dim_a: int, dim_b: int):
-    w = omega.reshape(dim_a, dim_b)
-    return w  # contract with effect on either side
-
-
 def check_steering_closure(world: SystemSpec, tol: float = DEFAULT_TOL,
                            invariance_projectors: tuple | None = None) -> SteeringReport:
     """Steered marginals of joint states land in the local state hulls.
@@ -431,6 +448,12 @@ def check_steering_closure(world: SystemSpec, tol: float = DEFAULT_TOL,
     local states.  For twirled quantum worlds membership in the invariant
     positive cone is tested as positivity plus invariance, with the
     projectors supplied by the caller.
+
+    The check counts are per (joint generator, local generator) pair and
+    the maximum residuals run over the failing pairs.  Each distinct
+    steered vector is decided only once per part, though: twirling
+    collapses generators onto orbit averages, so most pairs repeat a
+    vector that has already been decided.
     """
     if world.parts is None:
         raise InconsistentWorlds("steering closure needs a composite with parts")
@@ -438,39 +461,49 @@ def check_steering_closure(world: SystemSpec, tol: float = DEFAULT_TOL,
     if a.dim * b.dim != world.dim:
         raise InconsistentWorlds("parts do not multiply up to the composite dim")
 
-    max_sres = 0.0
-    n_schecks = 0
     proj_a = proj_b = None
     if invariance_projectors is not None:
         proj_a, proj_b = invariance_projectors
 
-    for omega in world.states_iter():
-        w = omega.reshape(a.dim, b.dim)
-        # steer A by B-side effects, and B by A-side effects
-        marg_a = w @ b.effect_generators.T  # (dim_a, n_eff_b)
-        marg_b = (a.effect_generators @ w).T  # (dim_b, n_eff_a) columns on B
-        for part, proj, margs in ((a, proj_a, marg_a.T), (b, proj_b, marg_b.T)):
-            for m in margs:
-                n_schecks += 1
-                ok, res = _subnorm_state_check(part, m, proj, tol)
-                if not ok:
-                    max_sres = max(max_sres, res)
+    # joint generators as (n, dim_a, dim_b) stacks; each side maps a block
+    # of them to its steered vectors, one (n_local, dim_part) slab per generator
+    joint_states = world.state_generators.T.reshape(-1, a.dim, b.dim)
+    max_sres = _worst_steered(joint_states, (
+        (lambda w: (w @ b.effect_generators.T).transpose(0, 2, 1),
+         lambda v: _subnorm_state_check(a, v, proj_a, tol), b.n_effects * a.dim),
+        (lambda w: a.effect_generators @ w,
+         lambda v: _subnorm_state_check(b, v, proj_b, tol), a.n_effects * b.dim)))
+    joint_effects = world.effect_generators.reshape(-1, a.dim, b.dim)
+    max_eres = _worst_steered(joint_effects, (
+        (lambda e: (e @ b.state_generators).transpose(0, 2, 1),
+         lambda f: in_effect_set(a, f, tol), b.n_states * a.dim),
+        (lambda e: (e.transpose(0, 2, 1) @ a.state_generators).transpose(0, 2, 1),
+         lambda f: in_effect_set(b, f, tol), a.n_states * b.dim)))
 
-    max_eres = 0.0
-    n_echecks = 0
-    for e in world.effects_iter():
-        emat = e.reshape(a.dim, b.dim)
-        steered_on_a = emat @ b.state_generators  # columns: effects on A
-        steered_on_b = (emat.T @ a.state_generators)
-        for part, steered in ((a, steered_on_a.T), (b, steered_on_b.T)):
-            for f in steered:
-                n_echecks += 1
-                ok, res = in_effect_set(part, f, tol)
-                if not ok:
-                    max_eres = max(max_eres, res)
-
+    n_schecks = world.n_states * (a.n_effects + b.n_effects)
+    n_echecks = world.n_effects * (a.n_states + b.n_states)
     passed = max_sres <= tol and max_eres <= tol
     return SteeringReport(world.id, n_schecks, n_echecks, max_sres, max_eres, passed)
+
+
+def _worst_steered(joint: np.ndarray, sides) -> float:
+    """Largest residual over the failing steered vectors of every side.
+
+    sides: (steer, decide, width) per part, where steer maps a block of
+    joint generators to a (k, n_local, dim_part) stack of steered vectors
+    and width is the number of floats it makes per generator.
+    """
+    worst = 0.0
+    for steer, decide, width in sides:
+        step = max(1, _BLOCK_FLOATS // width)
+        seen = set()
+        for start in range(0, joint.shape[0], step):
+            block = steer(joint[start:start + step])
+            rows = block.reshape(-1, block.shape[-1])
+            for _, ok, res in _decide_distinct(rows, decide, seen):
+                if not ok:
+                    worst = max(worst, res)
+    return worst
 
 
 def _subnorm_state_check(part: SystemSpec, v: np.ndarray, proj: np.ndarray | None,

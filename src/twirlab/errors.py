@@ -49,6 +49,15 @@ class NotSeparable(TwirlabError):
     """No invariant effect separates the given pair of states above tolerance."""
 
 
+class SolverFailure(TwirlabError):
+    """A linear program did not solve.  Carries the solver's status and message."""
+
+    def __init__(self, what: str, status: int, message: str):
+        self.status = status
+        self.message = message
+        super().__init__(f"{what} failed (solver status {status}): {message}")
+
+
 class SchemaError(TwirlabError):
     """A model file violates the input schema.  Carries a JSON path."""
 

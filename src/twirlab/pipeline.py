@@ -249,6 +249,8 @@ def run_analysis(bundle: WorldBundle, options: Options | None = None,
             "separating_index": w.separating_index,
             "separating_effect": w.separating_effect.tolist(),
         }
+    if verdict.witness_error is not None:
+        loc["witness_error"] = verdict.witness_error
     data["locality"] = loc
     report.verdict = verdict
 
@@ -376,6 +378,8 @@ def render_text(data: dict) -> str:
                          f"effects to {w['product_effect_discrepancy']:.2e}, "
                          f"separated by invariant effect {w['separating_index']} "
                          f"with gap {w['separating_gap']:.6g}")
+        if loc.get("witness_error"):
+            lines.append(f"  no witness pair: {loc['witness_error']}")
 
     ub = data.get("ubiquity")
     if ub:

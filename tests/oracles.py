@@ -208,3 +208,75 @@ def z2_reflection_projector_3() -> np.ndarray:
 def z2_joint_reflection_projector_9() -> np.ndarray:
     r = np.diag([-1.0, 1.0, 1.0])
     return (np.eye(9) + np.kron(r, r)) / 2.0
+
+
+# ------------------------------------------- naive per-pair membership loops
+#
+# The library decides each distinct steered vector (and each distinct
+# complement) once; these reference loops decide every pair with its own
+# membership call, exactly as the definitions read.
+
+
+def naive_steering_closure(world, tol: float = 1e-9, invariance_projectors=None):
+    """(n_state_checks, n_effect_checks, max_state_residual,
+    max_effect_residual, passed), one membership call per pair."""
+    from twirlab.core import _subnorm_state_check, in_effect_set
+
+    a, b = world.parts
+    proj_a = proj_b = None
+    if invariance_projectors is not None:
+        proj_a, proj_b = invariance_projectors
+    n_s = n_e = 0
+    max_s = max_e = 0.0
+    for i in range(world.n_states):
+        w = world.state_generators[:, i].reshape(a.dim, b.dim)
+        for j in range(b.n_effects):
+            n_s += 1
+            ok, res = _subnorm_state_check(a, w @ b.effect_generators[j], proj_a, tol)
+            if not ok:
+                max_s = max(max_s, res)
+        for j in range(a.n_effects):
+            n_s += 1
+            ok, res = _subnorm_state_check(b, a.effect_generators[j] @ w, proj_b, tol)
+            if not ok:
+                max_s = max(max_s, res)
+    for i in range(world.n_effects):
+        e = world.effect_generators[i].reshape(a.dim, b.dim)
+        for j in range(b.n_states):
+            n_e += 1
+            ok, res = in_effect_set(a, e @ b.state_generators[:, j], tol)
+            if not ok:
+                max_e = max(max_e, res)
+        for j in range(a.n_states):
+            n_e += 1
+            ok, res = in_effect_set(b, e.T @ a.state_generators[:, j], tol)
+            if not ok:
+                max_e = max(max_e, res)
+    return n_s, n_e, max_s, max_e, (max_s <= tol and max_e <= tol)
+
+
+def _rounded_key(v) -> bytes:
+    return (np.round(np.asarray(v, dtype=float), 10) + 0.0).tobytes()
+
+
+def naive_complement_closure(s, tol: float = 1e-9):
+    """(passed, residual, detail) of complement closure, one call per effect.
+
+    Complements within rounding of a listed effect pass without a test;
+    the detail names the first effect index whose complement fails.
+    """
+    from twirlab.core import in_effect_set
+
+    listed = {_rounded_key(e) for e in s.effect_generators}
+    passed, res, detail = True, 0.0, ""
+    for idx in range(s.n_effects):
+        comp = s.unit_effect - s.effect_generators[idx]
+        if _rounded_key(comp) in listed:
+            continue
+        ok, dist = in_effect_set(s, comp, tol)
+        if not ok:
+            passed = False
+            res = max(res, dist)
+            if not detail:
+                detail = f"complement of effect generator {idx} is not a valid effect"
+    return passed, res, detail

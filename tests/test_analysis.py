@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from twirlab import analysis
 from twirlab.analysis import (
     build_twirled_world,
     check_tomographic_completeness,
@@ -21,6 +22,7 @@ from twirlab.errors import (
     DimensionMismatch,
     InconsistentWorlds,
     NotSeparable,
+    SolverFailure,
     TrivialAction,
 )
 from twirlab.symmetry import GroupAction, build_finite_action, collective_action
@@ -89,6 +91,15 @@ def test_state_escaping_element_rejected():
         build_twirled_world(s, bad)
 
 
+def test_state_escaping_element_names_the_generator():
+    # generator 0 and 2 map onto listed generators; only 1 needs a test
+    s = classical_system("A", 3)
+    m = np.array([[1.0, 1.2, 0.0], [0.0, -0.2, 0.0], [0.0, 0.0, 1.0]])
+    bad = GroupAction(labels=("e", "g"), elements=np.stack([np.eye(3), m]))
+    with pytest.raises(ActionNotPhysical, match="element 'g' maps state generator 1 "):
+        build_twirled_world(s, bad)
+
+
 def test_action_dimension_guard():
     s = classical_system("A", 2)
     with pytest.raises(DimensionMismatch):
@@ -145,6 +156,28 @@ def test_one_sided_symmetry_is_locally_tomographic():
     assert not v.direct_check_fails
     assert v.methods_agree
     assert v.witness is None
+
+
+class _FailedSolve:
+    success = False
+    status = 4
+    message = "numerical difficulties"
+    x = None
+
+
+def test_max_step_reports_a_failed_solve(monkeypatch):
+    monkeypatch.setattr(analysis, "linprog", lambda *a, **k: _FailedSolve())
+    with pytest.raises(SolverFailure, match="numerical difficulties") as exc:
+        analysis._max_step(np.full(2, 0.5), np.array([1.0, -1.0]), np.eye(2))
+    assert exc.value.status == 4
+    assert exc.value.message == "numerical difficulties"
+
+
+def test_failed_witness_solve_is_kept_in_the_verdict(cbit_twirled, monkeypatch):
+    monkeypatch.setattr(analysis, "linprog", lambda *a, **k: _FailedSolve())
+    v = locality_verdict(*cbit_twirled)
+    assert v.direct_check_fails and v.witness is None
+    assert "solver status 4" in v.witness_error
 
 
 def test_locality_verdict_dimension_guard(cbit_twirled):

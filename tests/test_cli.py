@@ -105,6 +105,42 @@ def test_witness_output(capsys):
     assert "separable by invariant effect" in out
 
 
+def _coarse_trits_model() -> dict:
+    # two 3-point systems that only see {0, u, e1, u - e1}, trivial group,
+    # product composite: invariant tomography is incomplete and no
+    # invariant effect separates the invisible direction
+    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+    def trit(sys_id):
+        return {"id": sys_id, "dim": 3, "state_generators": eye,
+                "effect_generators": [[0, 0, 0], [1, 1, 1], [1, 0, 0], [0, 1, 1]],
+                "unit_effect": [1, 1, 1]}
+
+    return {"schema": "twirlab/1", "name": "coarse_trits",
+            "systems": [trit("A"), trit("B")],
+            "group": {"kind": "finite",
+                      "elements": [{"label": "e", "matrices": {"A": eye, "B": eye}}]},
+            "composites": [{"parts": ["A", "B"]}]}
+
+
+def test_analyze_reports_a_missing_witness(capsys, tmp_path):
+    path = tmp_path / "coarse_trits.json"
+    path.write_text(json.dumps(_coarse_trits_model()))
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--format", "json")
+    assert code == 0
+    loc = json.loads(out)["locality"]
+    assert loc["direct_check_fails"] is True
+    assert loc["methods_agree"] is False
+    assert "witness" not in loc
+    assert loc["witness_error"].startswith("no invariant effect separates the pair")
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    assert "no witness pair: no invariant effect separates" in out
+    code, out, _ = run_cli(capsys, "witness", str(path))
+    assert code == 0
+    assert "no locality witness: no invariant effect separates" in out
+
+
 def test_witness_needs_two_parts(capsys):
     code, _, err = run_cli(capsys, "witness", "builtin:spinor_su2?n=1")
     assert code == 2

@@ -207,7 +207,7 @@ def test_compose_completes_complements():
     # complement of delta_0 x delta_0 is not a product, must have been added
     d00 = np.kron(a.effect_generators[1], b.effect_generators[1])
     target = comp.unit_effect - d00
-    found = any(np.max(np.abs(e - target)) < 1e-12 for e in comp.effects_iter())
+    found = any(np.max(np.abs(e - target)) < 1e-12 for e in comp.effect_generators)
     assert found
 
 
