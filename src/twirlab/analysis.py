@@ -27,6 +27,7 @@ from .core import (
     in_state_cone,
     numerical_rank,
     orthonormal_range,
+    rank_of_singular_values,
     validate_system,
 )
 from .errors import (
@@ -52,6 +53,7 @@ class TwirledWorld:
     world: SystemSpec
     invariant_state_basis: np.ndarray   # (dim, K) orthonormal columns
     invariant_effect_basis: np.ndarray  # (K_eff, dim) orthonormal rows
+    state_singular_values: np.ndarray   # of the averaged state generators, descending
     K: int
     fixed_point_residual: float
     validation: ValidationReport
@@ -84,11 +86,15 @@ def build_twirled_world(s: SystemSpec, a: GroupAction, tol: float = DEFAULT_TOL,
                        hilbert_dims=s.hilbert_dims, parts=s.parts)
     rep = validate_system(world, tol)
 
-    sbasis = orthonormal_range(tw_states, rank_tol)
+    # one SVD of the state generators gives the basis and, through its
+    # singular values, K at any rank tolerance
+    u, sv, _ = np.linalg.svd(tw_states, full_matrices=False)
+    sbasis = u[:, :rank_of_singular_values(sv, rank_tol)]
     ebasis = orthonormal_range(tw_effects.T, rank_tol).T
     return TwirledWorld(base=s, action=a, projector=p, world=world,
                         invariant_state_basis=sbasis, invariant_effect_basis=ebasis,
-                        K=sbasis.shape[1], fixed_point_residual=fp, validation=rep)
+                        state_singular_values=sv, K=sbasis.shape[1],
+                        fixed_point_residual=fp, validation=rep)
 
 
 def _check_physical(s: SystemSpec, a: GroupAction, tol: float) -> None:
@@ -106,20 +112,22 @@ def _check_physical(s: SystemSpec, a: GroupAction, tol: float) -> None:
     for lab, m in zip(a.labels, a.elements):
         moved = (m @ s.state_generators).T
         todo = np.flatnonzero([k not in gen_keys for k in _row_keys(moved)])
-        for j, ok, res in _decide_distinct(moved[todo], lambda v: in_state_cone(s, v, tol),
-                                           decided):
-            if not ok:
-                raise ActionNotPhysical(
-                    f"element {lab!r} maps state generator {todo[j]} outside the state "
-                    f"space (residual {res:.3e})")
+        idx, ok, res = _decide_distinct(moved[todo], lambda v: in_state_cone(s, v, tol),
+                                        decided)
+        if not ok.all():
+            j = np.flatnonzero(~ok)[0]
+            raise ActionNotPhysical(
+                f"element {lab!r} maps state generator {todo[idx[j]]} outside the state "
+                f"space (residual {res[j]:.3e})")
 
 
 def count_parameters(w: TwirledWorld, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of independent parameters of the invariant state family."""
-    return numerical_rank(w.world.state_generators, rank_tol)
+    return rank_of_singular_values(w.state_singular_values, rank_tol)
 
 
 def rank_stability(w: TwirledWorld, thresholds=(1e-10, 1e-9, 1e-8, 1e-7)) -> bool:
+    """The parameter count is the same at every threshold."""
     counts = {count_parameters(w, t) for t in thresholds}
     return len(counts) == 1
 
@@ -368,29 +376,29 @@ def transformation_pair_witness(wa: TwirledWorld, wb: TwirledWorld,
                                      maps_to_product_residual=to_prod)
 
 
-def sector_block_residual(op: np.ndarray, projectors: list[np.ndarray],
-                          scalar_sectors: list[bool] | None = None) -> float:
-    """Deviation of an operator from the known invariant block form.
+def sector_block_residual(ops: np.ndarray, projectors: list[np.ndarray],
+                          scalar_sectors: list[bool] | None = None):
+    """Deviation of operators from the known invariant block form.
 
-    projectors: orthogonal projectors onto the symmetry sectors of the
-    underlying Hilbert space.  Cross-sector blocks of an invariant
-    operator must vanish; sectors flagged in scalar_sectors additionally
-    force the within-sector block to be a multiple of the projector
-    (irreducible sector with trivial multiplicity).
+    ops: one (D, D) operator, or an (n, D, D) stack that gets one residual
+    per operator.  projectors: orthogonal projectors onto the symmetry
+    sectors of the underlying Hilbert space.  Cross-sector blocks of an
+    invariant operator must vanish; sectors flagged in scalar_sectors
+    additionally force the within-sector block to be a multiple of the
+    projector (irreducible sector with trivial multiplicity).  Each
+    pi @ ops is formed once for the whole stack.
     """
-    res = 0.0
-    for i, pi in enumerate(projectors):
+    ops = np.asarray(ops)
+    flags = list(scalar_sectors or ()) + [False] * len(projectors)
+    res = np.zeros(ops.shape[:-2])
+    for i, (pi, flag) in enumerate(zip(projectors, flags)):
+        left = pi @ ops
         for j, pj in enumerate(projectors):
-            if i == j:
-                continue
-            res = max(res, float(np.max(np.abs(pi @ op @ pj))))
-    if scalar_sectors:
-        for flag, pi in zip(scalar_sectors, projectors):
-            if not flag:
-                continue
-            d = np.trace(pi).real
-            if d <= 0:
-                continue
-            c = np.trace(pi @ op).real / d
-            res = max(res, float(np.max(np.abs(pi @ op @ pi - c * pi))))
-    return res
+            if i != j:
+                res = np.maximum(res, np.max(np.abs(left @ pj), axis=(-2, -1)))
+        d = np.trace(pi).real
+        if flag and d > 0:
+            c = np.trace(left, axis1=-2, axis2=-1).real / d
+            res = np.maximum(res, np.max(np.abs(left @ pi - c[..., None, None] * pi),
+                                         axis=(-2, -1)))
+    return res[()]

@@ -63,16 +63,44 @@ def _decide_distinct(rows: np.ndarray, decide, seen: set):
 
     Rows are compared by their exact bytes with -0.0 folded into 0.0, so
     rows that share a verdict are the same vector.  Rows whose key is in
-    seen are skipped, and the keys of the others are added to it.  Yields
-    (index, ok, residual) from decide(row) at the first occurrence of each
-    new row, in row order.
+    seen are skipped, and the keys of the others are added to it.  The new
+    rows go to decide as stacks of about _BLOCK_FLOATS floats, and decide
+    returns an array of verdicts and one of residuals per stack.  Returns
+    (index, ok, residual) arrays with the index of the first occurrence of
+    each new row, in row order.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    idx = []
     for i, key in enumerate(_row_keys(rows, decimals=None)):
         if key not in seen:
             seen.add(key)
-            ok, res = decide(rows[i] + 0.0)
-            yield i, ok, res
+            idx.append(i)
+    idx = np.array(idx, dtype=int)
+    ok = np.zeros(idx.size, dtype=bool)
+    res = np.zeros(idx.size)
+    step = max(1, _BLOCK_FLOATS // rows.shape[1])
+    for start in range(0, idx.size, step):
+        block = slice(start, start + step)
+        ok[block], res[block] = decide(rows[idx[block]] + 0.0)
+    return idx, ok, res
+
+
+def _as_rows(v: np.ndarray) -> tuple[np.ndarray, bool]:
+    """v as a stack of rows, and whether it was a single vector."""
+    v = np.asarray(v, dtype=float)
+    return np.atleast_2d(v), v.ndim == 1
+
+
+def _verdicts(bad: np.ndarray, tol: float, single: bool):
+    """(ok, residual) per row from residuals; plain values for one vector."""
+    if single:
+        return bool(bad[0] <= tol), float(bad[0])
+    return bad <= tol, bad
+
+
+def _unit_values(s: SystemSpec, rows: np.ndarray) -> np.ndarray:
+    # one dot product per row, summed in the order of unit_effect @ row
+    return np.matmul(rows[:, None, :], s.unit_effect[:, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -93,7 +121,6 @@ class SystemSpec:
     state_generators: np.ndarray
     effect_generators: np.ndarray
     unit_effect: np.ndarray
-    transformations: tuple = ()
     hilbert_dims: tuple | None = None
     parts: tuple | None = None
 
@@ -266,23 +293,30 @@ def _scaled_matches(rows: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def in_state_cone(s: SystemSpec, v: np.ndarray, tol: float = DEFAULT_TOL,
-                  subnormalized: bool = False) -> tuple[bool, float]:
+                  subnormalized: bool = False):
     """Is v a valid (sub)normalized state of s?  Returns (ok, residual).
 
     Hull systems: membership in conv(state generators), with the zero
     vector adjoined when subnormalized.  Quantum systems: positivity of
-    the encoded operator plus the right unit value.
+    the encoded operator plus the right unit value.  v may be an (n, dim)
+    stack of rows, which gets arrays of verdicts and residuals; quantum
+    rows are then decided with one eigensolve, hull rows one at a time.
     """
-    v = np.asarray(v, dtype=float).ravel()
-    if s.hilbert_dims is not None:
-        lam = hermitian.min_eigenvalue(v, s.hilbert_dims)
-        uval = float(s.unit_effect @ v)
-        bad = max(0.0, -lam)
-        if subnormalized:
-            bad = max(bad, uval - 1.0 - 0.0, -uval)
-        else:
-            bad = max(bad, abs(uval - 1.0))
-        return bad <= tol, bad
+    rows, single = _as_rows(v)
+    if s.hilbert_dims is None:
+        bad = np.array([_hull_state_residual(s, r, tol, subnormalized) for r in rows])
+        return _verdicts(bad, tol, single)
+    lam = hermitian.min_eigenvalue(rows, s.hilbert_dims)
+    uval = _unit_values(s, rows)
+    if subnormalized:
+        bad = np.maximum.reduce([np.zeros(len(rows)), -lam, uval - 1.0, -uval])
+    else:
+        bad = np.maximum(np.maximum(0.0, -lam), np.abs(uval - 1.0))
+    return _verdicts(bad, tol, single)
+
+
+def _hull_state_residual(s: SystemSpec, v: np.ndarray, tol: float,
+                         subnormalized: bool) -> float:
     gens = s.state_generators.T
     if subnormalized:
         gens = np.vstack([gens, np.zeros(s.dim)])
@@ -294,17 +328,24 @@ def in_state_cone(s: SystemSpec, v: np.ndarray, tol: float = DEFAULT_TOL,
     else:
         hit &= np.abs(coefs - 1.0) <= tol
     if np.any(hit):
-        return True, 0.0
-    r = convex_membership(v, gens, tol)
-    return r.member, r.distance
+        return 0.0
+    return convex_membership(v, gens, tol).distance
 
 
-def in_effect_set(s: SystemSpec, f: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Is f a valid effect of s (in the hull of its effect generators)?"""
-    f = np.asarray(f, dtype=float).ravel()
+def in_effect_set(s: SystemSpec, f: np.ndarray, tol: float = DEFAULT_TOL):
+    """Is f a valid effect of s (in the hull of its effect generators)?
+
+    f may be an (n, dim) stack of rows, decided as in in_state_cone.
+    """
+    rows, single = _as_rows(f)
     if s.hilbert_dims is not None:
-        bad = hermitian.operator_interval_residual(f, s.hilbert_dims)
-        return bad <= tol, bad
+        bad = hermitian.operator_interval_residual(rows, s.hilbert_dims)
+    else:
+        bad = np.array([_hull_effect_residual(s, r, tol) for r in rows])
+    return _verdicts(bad, tol, single)
+
+
+def _hull_effect_residual(s: SystemSpec, f: np.ndarray, tol: float) -> float:
     coefs, resid = _scaled_matches(s.effect_generators, f)
     # a strict scaling c*g with c < 1 is a mixture of g with the zero
     # functional, so it is only conclusive when the list holds a zero row
@@ -313,9 +354,8 @@ def in_effect_set(s: SystemSpec, f: np.ndarray, tol: float = DEFAULT_TOL) -> tup
     if has_zero:
         hit |= (resid <= tol) & (coefs >= -tol) & (coefs <= 1.0 + tol)
     if np.any(hit):
-        return True, 0.0
-    r = convex_membership(f, s.effect_generators, tol)
-    return r.member, r.distance
+        return 0.0
+    return convex_membership(f, s.effect_generators, tol).distance
 
 
 def validate_system(s: SystemSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -336,15 +376,13 @@ def validate_system(s: SystemSpec, tol: float = DEFAULT_TOL) -> ValidationReport
     keys = set(_row_keys(s.effect_generators))
     todo = np.flatnonzero([k not in keys for k in
                            _row_keys(s.unit_effect - s.effect_generators)])
-    comp_res = 0.0
+    idx, ok, dist = _decide_distinct(s.unit_effect - s.effect_generators[todo],
+                                     lambda f: in_effect_set(s, f, tol), set())
+    comp_res = float(dist[~ok].max(initial=0.0))
     comp_detail = ""
-    for j, ok, dist in _decide_distinct(s.unit_effect - s.effect_generators[todo],
-                                        lambda f: in_effect_set(s, f, tol), set()):
-        if not ok:
-            comp_res = max(comp_res, dist)
-            if not comp_detail:
-                comp_detail = (f"complement of effect generator {todo[j]} "
-                               "is not a valid effect")
+    if not ok.all():
+        comp_detail = (f"complement of effect generator {todo[idx[~ok][0]]} "
+                       "is not a valid effect")
     checks.append(CheckResult("complement_closure", not comp_detail, comp_res, comp_detail))
 
     zero = np.zeros(s.dim)
@@ -499,23 +537,24 @@ def _worst_steered(joint: np.ndarray, sides) -> float:
         seen = set()
         for start in range(0, joint.shape[0], step):
             block = steer(joint[start:start + step])
-            rows = block.reshape(-1, block.shape[-1])
-            for _, ok, res in _decide_distinct(rows, decide, seen):
-                if not ok:
-                    worst = max(worst, res)
-    return worst
+            _, ok, res = _decide_distinct(block.reshape(-1, block.shape[-1]), decide, seen)
+            worst = max(worst, res[~ok].max(initial=0.0))
+    return float(worst)
 
 
 def _subnorm_state_check(part: SystemSpec, v: np.ndarray, proj: np.ndarray | None,
-                         tol: float) -> tuple[bool, float]:
-    if part.hilbert_dims is not None:
-        lam = hermitian.min_eigenvalue(v, part.hilbert_dims)
-        uval = float(part.unit_effect @ v)
-        bad = max(0.0, -lam, uval - 1.0, -uval)
-        if proj is not None:
-            bad = max(bad, float(np.max(np.abs(proj @ v - v))))
-        return bad <= tol, bad
-    return in_state_cone(part, v, tol, subnormalized=True)
+                         tol: float):
+    """Subnormalized state test of in_state_cone, plus invariance under
+    proj for quantum parts; v may be a stack of rows."""
+    if proj is None or part.hilbert_dims is None:
+        return in_state_cone(part, v, tol, subnormalized=True)
+    rows, single = _as_rows(v)
+    _, bad = in_state_cone(part, rows, tol, subnormalized=True)
+    # proj applied to each row as proj @ row, not as rows @ proj.T,
+    # whose sums can round differently
+    moved = np.matmul(proj, rows[:, :, None])[:, :, 0]
+    bad = np.maximum(bad, np.max(np.abs(moved - rows), axis=1))
+    return _verdicts(bad, tol, single)
 
 
 def numerical_rank(m: np.ndarray, rank_tol: float = 1e-8) -> int:
@@ -523,7 +562,11 @@ def numerical_rank(m: np.ndarray, rank_tol: float = 1e-8) -> int:
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.size == 0:
         return 0
-    sv = np.linalg.svd(m, compute_uv=False)
+    return rank_of_singular_values(np.linalg.svd(m, compute_uv=False), rank_tol)
+
+
+def rank_of_singular_values(sv: np.ndarray, rank_tol: float = 1e-8) -> int:
+    """How many of the descending singular values sv exceed rank_tol * sv[0]."""
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.sum(sv > rank_tol * sv[0]))
@@ -531,9 +574,5 @@ def numerical_rank(m: np.ndarray, rank_tol: float = 1e-8) -> int:
 
 def orthonormal_range(m: np.ndarray, rank_tol: float = 1e-8) -> np.ndarray:
     """Orthonormal basis (columns) of the column span of m."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    u, sv, _ = np.linalg.svd(m, full_matrices=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return np.zeros((m.shape[0], 0))
-    k = int(np.sum(sv > rank_tol * sv[0]))
-    return u[:, :k]
+    u, sv, _ = np.linalg.svd(np.atleast_2d(np.asarray(m, dtype=float)), full_matrices=False)
+    return u[:, :rank_of_singular_values(sv, rank_tol)]

@@ -50,73 +50,52 @@ def hermitian_basis(d: int) -> np.ndarray:
 
 def vectorize(op: np.ndarray, d: int) -> np.ndarray:
     """Real coordinate vector of a Hermitian operator, length d^2."""
-    basis = hermitian_basis(d)
-    coeffs = np.einsum("aij,ji->a", basis, op)
+    return vectorize_dims(op, (d,))
+
+
+def unvectorize(vec: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of vectorize: rebuild the d x d Hermitian operator."""
+    return unvectorize_dims(vec, (d,))
+
+
+def unvectorize_dims(vec: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Rebuild operators on a tensor product of factors.
+
+    vec is one coordinate vector, giving one (D, D) operator, or an
+    (n, d^2) stack of them, giving an (n, D, D) stack.  The composite
+    basis is the Kronecker product of the per-factor bases, indexed with
+    the left factor major, matching np.kron on coordinates.  Each factor
+    costs one einsum over the whole stack, innermost factor first.
+    """
+    vec = np.asarray(vec, dtype=float)
+    out = np.einsum("na,aij->nij", vec.reshape(-1, dims[-1] ** 2), hermitian_basis(dims[-1]))
+    for d in reversed(dims[:-1]):
+        # sum_a kron(basis[a], tails[:, a]) without materializing each kron
+        dr = out.shape[-1]
+        tails = out.reshape(-1, d * d, dr, dr)
+        out = np.einsum("aik,najl->nijkl", hermitian_basis(d), tails).reshape(
+            -1, d * dr, d * dr)
+    return out.reshape(vec.shape[:-1] + out.shape[-2:])
+
+
+def vectorize_dims(op: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Real coordinates of a Hermitian operator on a tensor product."""
+    coeffs = _overlaps(np.asarray(op), dims)
     if np.max(np.abs(coeffs.imag)) > 1e-12:
         raise ValueError("operator is not Hermitian within tolerance")
     return np.ascontiguousarray(coeffs.real)
 
 
-def unvectorize(vec: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of vectorize: rebuild the d x d Hermitian operator."""
-    basis = hermitian_basis(d)
-    return np.einsum("a,aij->ij", np.asarray(vec, dtype=float), basis)
-
-
-def unvectorize_dims(vec: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """Rebuild an operator on a tensor product of factors.
-
-    The composite basis is the Kronecker product of the per-factor bases,
-    indexed with the left factor major, matching np.kron on coordinates.
-    """
+def _overlaps(op: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    # Hilbert-Schmidt overlaps with the Kronecker basis, first factor
+    # contracted first; the partial contractions stay complex, so only the
+    # assembled coefficients are checked and made real
+    basis0 = hermitian_basis(dims[0])
     if len(dims) == 1:
-        return unvectorize(vec, dims[0])
-    d0 = dims[0]
-    rest = dims[1:]
-    n0 = d0 * d0
-    nrest = int(np.prod([d * d for d in rest]))
-    v = np.asarray(vec, dtype=float).reshape(n0, nrest)
-    basis0 = hermitian_basis(d0)
-    tails = np.array([unvectorize_dims(v[a], rest) for a in range(n0)])
-    # sum_a kron(basis0[a], tails[a]) without materializing each kron
-    dr = tails.shape[1]
-    out = np.einsum("aik,ajl->ijkl", basis0, tails).reshape(d0 * dr, d0 * dr)
-    return out
-
-
-def vectorize_dims(op: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """Real coordinates of a Hermitian operator on a tensor product."""
-    if len(dims) == 1:
-        return vectorize(op, dims[0])
-    d0 = dims[0]
-    rest = dims[1:]
-    dr = int(np.prod(rest))
-    basis0 = hermitian_basis(d0)
-    o = np.asarray(op).reshape(d0, dr, d0, dr)
-    # contract the first factor against each basis element
-    tails = np.einsum("aij,jrit->art", basis0, o)
-    rows = [vectorize_dims(tails[a], rest) if np.max(np.abs(tails[a].imag)) < 1e-10
-            else _vectorize_complex(tails[a], rest)
-            for a in range(d0 * d0)]
-    return np.concatenate(rows)
-
-
-def _vectorize_complex(op: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    # Partial contractions of Hermitian operators need not be Hermitian;
-    # their expansion coefficients in a Hermitian basis are still the
-    # Hilbert-Schmidt overlaps, kept here with the real part only after
-    # the full contraction has been assembled.
-    if len(dims) == 1:
-        basis = hermitian_basis(dims[0])
-        return np.einsum("aij,ji->a", basis, op).real
-    d0 = dims[0]
-    rest = dims[1:]
-    dr = int(np.prod(rest))
-    basis0 = hermitian_basis(d0)
-    o = op.reshape(d0, dr, d0, dr)
-    tails = np.einsum("aij,jrit->art", basis0, o)
-    rows = [_vectorize_complex(tails[a], rest) for a in range(d0 * d0)]
-    return np.concatenate(rows)
+        return np.einsum("aij,ji->a", basis0, op)
+    dr = int(np.prod(dims[1:]))
+    tails = np.einsum("aij,jrit->art", basis0, op.reshape(dims[0], dr, dims[0], dr))
+    return np.concatenate([_overlaps(t, dims[1:]) for t in tails])
 
 
 def conjugation_superoperator(u: np.ndarray) -> np.ndarray:
@@ -130,14 +109,20 @@ def conjugation_superoperator(u: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(mat.real)
 
 
-def min_eigenvalue(vec: np.ndarray, dims: tuple[int, ...]) -> float:
-    """Smallest eigenvalue of the operator encoded by vec."""
-    op = unvectorize_dims(vec, dims)
-    return float(np.linalg.eigvalsh(op)[0])
+def min_eigenvalue(vec: np.ndarray, dims: tuple[int, ...]):
+    """Smallest eigenvalue of the operator encoded by vec.
+
+    A stack of vectors gets an array with one value per row, from one
+    eigvalsh call.
+    """
+    return np.linalg.eigvalsh(unvectorize_dims(vec, dims))[..., 0]
 
 
-def operator_interval_residual(vec: np.ndarray, dims: tuple[int, ...]) -> float:
-    """How far the encoded operator sits outside 0 <= E <= 1 (0 if inside)."""
-    op = unvectorize_dims(vec, dims)
-    ev = np.linalg.eigvalsh(op)
-    return float(max(0.0, -ev[0], ev[-1] - 1.0))
+def operator_interval_residual(vec: np.ndarray, dims: tuple[int, ...]):
+    """How far the encoded operator sits outside 0 <= E <= 1 (0 if inside).
+
+    A stack of vectors gets an array with one value per row, from one
+    eigvalsh call.
+    """
+    ev = np.linalg.eigvalsh(unvectorize_dims(vec, dims))
+    return np.maximum(np.maximum(0.0, -ev[..., 0]), ev[..., -1] - 1.0)

@@ -32,6 +32,7 @@ from .analysis import (
 )
 from .catalog import WorldBundle, bosonic_parameter_counts
 from .core import (
+    _BLOCK_FLOATS,
     DEFAULT_TOL,
     SteeringReport,
     SystemSpec,
@@ -132,16 +133,13 @@ def _sector_residuals(bundle: WorldBundle, twirled: dict) -> dict:
         if tw is None:
             continue
         worst = 0.0
-        gens = tw.world.state_generators
-        for i in range(gens.shape[1]):
-            op = unvectorize_dims(gens[:, i], oracle.hilbert_dims)
-            worst = max(worst, sector_block_residual(
-                op, oracle.projectors, oracle.scalar_sectors))
-        effs = tw.world.effect_generators
-        for i in range(effs.shape[0]):
-            op = unvectorize_dims(effs[i], oracle.hilbert_dims)
-            worst = max(worst, sector_block_residual(
-                op, oracle.projectors, oracle.scalar_sectors))
+        # generators as rows, rebuilt and checked one bounded stack at a time
+        for rows in (tw.world.state_generators.T, tw.world.effect_generators):
+            step = max(1, _BLOCK_FLOATS // rows.shape[1])
+            for start in range(0, rows.shape[0], step):
+                ops = unvectorize_dims(rows[start:start + step], oracle.hilbert_dims)
+                worst = max(worst, np.max(sector_block_residual(
+                    ops, oracle.projectors, oracle.scalar_sectors)))
         out[sid] = float(worst)
     return out
 

@@ -220,8 +220,6 @@ def z2_joint_reflection_projector_9() -> np.ndarray:
 def naive_steering_closure(world, tol: float = 1e-9, invariance_projectors=None):
     """(n_state_checks, n_effect_checks, max_state_residual,
     max_effect_residual, passed), one membership call per pair."""
-    from twirlab.core import _subnorm_state_check, in_effect_set
-
     a, b = world.parts
     proj_a = proj_b = None
     if invariance_projectors is not None:
@@ -232,12 +230,12 @@ def naive_steering_closure(world, tol: float = 1e-9, invariance_projectors=None)
         w = world.state_generators[:, i].reshape(a.dim, b.dim)
         for j in range(b.n_effects):
             n_s += 1
-            ok, res = _subnorm_state_check(a, w @ b.effect_generators[j], proj_a, tol)
+            ok, res = subnorm_state_check(a, w @ b.effect_generators[j], proj_a, tol)
             if not ok:
                 max_s = max(max_s, res)
         for j in range(a.n_effects):
             n_s += 1
-            ok, res = _subnorm_state_check(b, a.effect_generators[j] @ w, proj_b, tol)
+            ok, res = subnorm_state_check(b, a.effect_generators[j] @ w, proj_b, tol)
             if not ok:
                 max_s = max(max_s, res)
     for i in range(world.n_effects):
@@ -265,8 +263,6 @@ def naive_complement_closure(s, tol: float = 1e-9):
     Complements within rounding of a listed effect pass without a test;
     the detail names the first effect index whose complement fails.
     """
-    from twirlab.core import in_effect_set
-
     listed = {_rounded_key(e) for e in s.effect_generators}
     passed, res, detail = True, 0.0, ""
     for idx in range(s.n_effects):
@@ -280,3 +276,75 @@ def naive_complement_closure(s, tol: float = 1e-9):
             if not detail:
                 detail = f"complement of effect generator {idx} is not a valid effect"
     return passed, res, detail
+
+
+# ------------------------------------------------- per-row quantum formulas
+#
+# The library rebuilds and eigensolves quantum rows as stacks; these are
+# the per-vector recursion and residual formulas it replaced, one operator
+# and one eigvalsh call per vector.
+
+
+def unvectorize_dims(vec: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """One operator from one coordinate vector, recursing over the factors."""
+    from twirlab.hermitian import hermitian_basis
+
+    if len(dims) == 1:
+        return np.einsum("a,aij->ij", np.asarray(vec, dtype=float),
+                         hermitian_basis(dims[0]))
+    d0 = dims[0]
+    rest = dims[1:]
+    n0 = d0 * d0
+    nrest = int(np.prod([d * d for d in rest]))
+    v = np.asarray(vec, dtype=float).reshape(n0, nrest)
+    basis0 = hermitian_basis(d0)
+    tails = np.array([unvectorize_dims(v[a], rest) for a in range(n0)])
+    # sum_a kron(basis0[a], tails[a]) without materializing each kron
+    dr = tails.shape[1]
+    out = np.einsum("aik,ajl->ijkl", basis0, tails).reshape(d0 * dr, d0 * dr)
+    return out
+
+
+def min_eigenvalue(vec: np.ndarray, dims: tuple[int, ...]) -> float:
+    op = unvectorize_dims(vec, dims)
+    return float(np.linalg.eigvalsh(op)[0])
+
+
+def operator_interval_residual(vec: np.ndarray, dims: tuple[int, ...]) -> float:
+    op = unvectorize_dims(vec, dims)
+    ev = np.linalg.eigvalsh(op)
+    return float(max(0.0, -ev[0], ev[-1] - 1.0))
+
+
+def quantum_state_check(s, v, tol, subnormalized=False):
+    """(Sub)normalized state test of one vector of a quantum system."""
+    lam = min_eigenvalue(v, s.hilbert_dims)
+    uval = float(s.unit_effect @ v)
+    bad = max(0.0, -lam)
+    if subnormalized:
+        bad = max(bad, uval - 1.0 - 0.0, -uval)
+    else:
+        bad = max(bad, abs(uval - 1.0))
+    return bad <= tol, bad
+
+
+def subnorm_state_check(part, v, proj, tol):
+    """Subnormalized state test of one steered vector."""
+    if part.hilbert_dims is None:
+        from twirlab.core import in_state_cone
+        return in_state_cone(part, v, tol, subnormalized=True)
+    lam = min_eigenvalue(v, part.hilbert_dims)
+    uval = float(part.unit_effect @ v)
+    bad = max(0.0, -lam, uval - 1.0, -uval)
+    if proj is not None:
+        bad = max(bad, float(np.max(np.abs(proj @ v - v))))
+    return bad <= tol, bad
+
+
+def in_effect_set(s, f, tol):
+    """Effect test of one vector; hull systems use the library's test."""
+    if s.hilbert_dims is None:
+        from twirlab.core import in_effect_set as hull_test
+        return hull_test(s, f, tol)
+    bad = operator_interval_residual(f, s.hilbert_dims)
+    return bad <= tol, bad
