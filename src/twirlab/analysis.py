@@ -376,6 +376,19 @@ def transformation_pair_witness(wa: TwirledWorld, wb: TwirledWorld,
                                      maps_to_product_residual=to_prod)
 
 
+def _sector_labels(projectors: list[np.ndarray]) -> np.ndarray | None:
+    """Sector of each basis index, -1 for none, when the projectors are
+    real 0/1 diagonal matrices with disjoint supports; None otherwise."""
+    p = np.asarray(projectors)
+    if np.iscomplexobj(p) or p.ndim != 3 or p.shape[1] != p.shape[2]:
+        return None
+    diag = np.diagonal(p, axis1=1, axis2=2)
+    if (np.count_nonzero(p) != np.count_nonzero(diag)
+            or not np.all((diag == 0) | (diag == 1)) or np.any(diag.sum(axis=0) > 1)):
+        return None
+    return np.where(diag.any(axis=0), diag.argmax(axis=0), -1)
+
+
 def sector_block_residual(ops: np.ndarray, projectors: list[np.ndarray],
                           scalar_sectors: list[bool] | None = None):
     """Deviation of operators from the known invariant block form.
@@ -385,11 +398,35 @@ def sector_block_residual(ops: np.ndarray, projectors: list[np.ndarray],
     sectors of the underlying Hilbert space.  Cross-sector blocks of an
     invariant operator must vanish; sectors flagged in scalar_sectors
     additionally force the within-sector block to be a multiple of the
-    projector (irreducible sector with trivial multiplicity).  Each
-    pi @ ops is formed once for the whole stack.
+    projector (irreducible sector with trivial multiplicity).
+
+    When every projector is a real 0/1 diagonal matrix and no index lies
+    in two of them (number sectors, identity sectors), the blocks are read
+    by index: the cross-sector residual is the largest |op[a, b]| with a
+    and b in different sectors, and a scalar sector S gives
+    max |op[S, S] - c I|.  For finite operators this equals the product
+    form bit for bit: a 0/1 diagonal factor only copies entries or makes
+    signed zeros, so every product is exact.  The one sum, the trace
+    behind c, is taken by np.trace over the row-masked stack, the same
+    reduction over the same positions as trace(pi @ ops).  Other
+    projectors form each pi @ ops once for the whole stack.
     """
     ops = np.asarray(ops)
     flags = list(scalar_sectors or ()) + [False] * len(projectors)
+    labels = _sector_labels(projectors)
+    if labels is not None:
+        inside = labels >= 0
+        cross = inside[:, None] & inside[None, :] & (labels[:, None] != labels[None, :])
+        res = np.max(np.abs(ops[..., cross]), axis=-1, initial=0.0)
+        for k, flag in enumerate(flags[:len(projectors)]):
+            members = labels == k
+            idx = np.flatnonzero(members)
+            if flag and idx.size:
+                masked = np.where(members[:, None], ops, 0)
+                c = np.trace(masked, axis1=-2, axis2=-1).real / float(idx.size)
+                block = ops[..., idx[:, None], idx] - c[..., None, None] * np.eye(idx.size)
+                res = np.maximum(res, np.max(np.abs(block), axis=(-2, -1)))
+        return res[()]
     res = np.zeros(ops.shape[:-2])
     for i, (pi, flag) in enumerate(zip(projectors, flags)):
         left = pi @ ops

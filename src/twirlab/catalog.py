@@ -21,6 +21,7 @@ from .symmetry import (
     build_finite_action,
     collective_action,
     qubit_octahedral_action,
+    twirl_projector,
 )
 
 
@@ -30,7 +31,11 @@ class SectorOracle:
 
     projectors: orthogonal projectors onto symmetry sectors of the
     underlying Hilbert space.  scalar flags mark sectors on which an
-    invariant operator must be a multiple of the projector.
+    invariant operator must be a multiple of the projector.  Number
+    sectors and identity sectors are real 0/1 diagonal projectors with
+    disjoint supports; sector_block_residual reads their blocks by index,
+    which is exact, and multiplies by the projectors only for other sets
+    (the singlet and triplet projectors of spinor_su2).
     """
 
     projectors: list
@@ -355,8 +360,10 @@ def bosonic_sector_formula(N: int) -> tuple[int, int]:
 def bosonic_parameter_counts(N: int, rank_tol: float = 1e-8) -> dict:
     """Invariant parameter counts for the cutoff-N phase-averaged worlds.
 
-    single_mode: rank of the averaged single-mode generators.
-    full: rank of the averaged two-mode product generators.
+    single_mode: rank of the single-mode generators under the twirl
+    projector of the phase action.
+    full: rank of the two-mode product generators, averaged here in the
+    operator picture as a check independent of the coordinate projector.
     restricted: same, after compressing every averaged generator to the
     subspace of total occupation <= N (the physically motivated restriction
     of the doubled cutoff back to the single-mode one).
@@ -366,11 +373,7 @@ def bosonic_parameter_counts(N: int, rank_tol: float = 1e-8) -> dict:
     local_gens = fock_mode_generators(N)
     svec = np.array([hermitian.vectorize(op, d) for op in local_gens]).T
 
-    p1 = np.zeros((d * d, d * d))
-    for m in act.elements:
-        p1 = p1 + m
-    p1 /= act.order
-    k_single = numerical_rank(p1 @ svec, rank_tol)
+    k_single = numerical_rank(twirl_projector(act).matrix @ svec, rank_tol)
 
     # two-mode averaged products, direct operator form
     m_ord = 2 * N + 1

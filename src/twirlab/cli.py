@@ -16,7 +16,7 @@ import sys
 from ._version import __version__
 from .catalog import CATALOG, build_world
 from .errors import TwirlabError
-from .model import parse_builtin_ref, parse_model
+from .model import check_option, parse_builtin_ref, parse_model
 from .pipeline import Options, render_text, run_analysis
 from .symmetry import verify_twirl_laws
 
@@ -51,18 +51,14 @@ def _load(ref: str):
 
 
 def _options(args, file_opts: dict) -> Options:
-    opt = Options()
-    for k, v in file_opts.items():
-        setattr(opt, k, v)
-    if getattr(args, "tol", None) is not None:
-        opt.tol = args.tol
-    if getattr(args, "rank_tol", None) is not None:
-        opt.rank_tol = args.rank_tol
-    if getattr(args, "seed", None) is not None:
-        opt.seed = args.seed
-    if getattr(args, "trials", None) is not None:
-        opt.trials = args.trials
-    return opt
+    values = dict(file_opts)
+    for key, flag in (("tol", "--tol"), ("rank_tol", "--rank-tol"),
+                      ("seed", "--seed"), ("trials", "--trials")):
+        value = getattr(args, key, None)
+        if value is not None:
+            check_option(key, value, flag)
+            values[key] = value
+    return Options(**values)
 
 
 def _cmd_list(args) -> int:

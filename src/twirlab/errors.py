@@ -66,6 +66,11 @@ class SchemaError(TwirlabError):
         super().__init__(f"{path}: {message}")
 
 
+class BadOption(SchemaError):
+    """An analysis option is outside its range.  The path names where it
+    was set: a model-file path, a command-line flag or an Options field."""
+
+
 class DimensionError(SchemaError):
     """A model file entry has the wrong shape for its declared system."""
 

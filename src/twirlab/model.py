@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from urllib.parse import parse_qsl
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .catalog import CATALOG, WorldBundle, build_world
 from .core import CompositeSpec, SystemSpec, compose_systems
-from .errors import DimensionError, SchemaError, UnknownBuiltin
+from .errors import BadOption, DimensionError, SchemaError, UnknownBuiltin
 from .symmetry import build_finite_action, collective_action
 
 SCHEMA_TAG = "twirlab/1"
@@ -184,6 +185,31 @@ def _parse_group(entry, systems: dict, path: str):
     return actions
 
 
+def check_option(key: str, value, path: str) -> None:
+    """Raise BadOption unless value is allowed for the analysis option key.
+
+    tol: a finite number >= 0.  rank_tol: a finite number in [0, 1), a
+    relative singular-value cutoff.  seed: an integer >= 0, as the probe
+    generator takes.  trials: an integer >= 1.  Model files, command-line
+    flags and Options all go through this one check.
+    """
+    if key in ("tol", "rank_tol"):
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise BadOption(path, f"expected a number, got {type(value).__name__}")
+        top = math.inf if key == "tol" else 1.0
+        if not (math.isfinite(value) and 0 <= value < top):
+            rule = "finite and >= 0" if key == "tol" else "finite and in [0, 1)"
+            raise BadOption(path, f"must be {rule}, got {value!r}")
+    elif key in ("seed", "trials"):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise BadOption(path, "must be an integer")
+        low = 1 if key == "trials" else 0
+        if value < low:
+            raise BadOption(path, f"must be >= {low}, got {value!r}")
+    else:
+        raise BadOption(path, "unknown option")
+
+
 def parse_builtin_ref(ref: str) -> tuple[str, dict]:
     """Parse 'builtin:name?key=value&...' into a recipe name and params."""
     body = ref[len("builtin:"):]
@@ -235,13 +261,9 @@ def parse_model(source) -> ModelFile:
     opts = {}
     for k, v in options.items():
         if k in ("tol", "rank_tol"):
-            opts[k] = _float_entry(v, f"$.options.{k}")
-        elif k in ("seed", "trials"):
-            _expect(isinstance(v, int) and not isinstance(v, bool),
-                    f"$.options.{k}", "must be an integer")
-            opts[k] = v
-        else:
-            raise SchemaError(f"$.options.{k}", "unknown option")
+            v = _float_entry(v, f"$.options.{k}")
+        check_option(k, v, f"$.options.{k}")
+        opts[k] = v
 
     group = raw.get("group")
     _expect(isinstance(group, dict), "$.group", "model needs a group object")

@@ -41,7 +41,7 @@ from .core import (
 )
 from .errors import NotSeparable, TrivialAction
 from .hermitian import unvectorize_dims
-from .model import canonical_bytes
+from .model import canonical_bytes, check_option
 from .symmetry import LawReport, verify_twirl_laws
 
 REPORT_SCHEMA = "twirlab-report/1"
@@ -53,6 +53,10 @@ class Options:
     rank_tol: float = 1e-8
     seed: int = 42
     trials: int = 200
+
+    def __post_init__(self):
+        for key, value in self.as_dict().items():
+            check_option(key, value, f"Options.{key}")
 
     def as_dict(self) -> dict:
         return {"tol": self.tol, "rank_tol": self.rank_tol,

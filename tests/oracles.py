@@ -348,3 +348,37 @@ def in_effect_set(s, f, tol):
         return hull_test(s, f, tol)
     bad = operator_interval_residual(f, s.hilbert_dims)
     return bad <= tol, bad
+
+
+# --------------------------------------------------- sector block form
+#
+# The library reads number and identity sectors by index; this is the
+# projector-product form it replaced, kept verbatim as the reference.
+
+
+def sector_block_residual(ops: np.ndarray, projectors: list[np.ndarray],
+                          scalar_sectors: list[bool] | None = None):
+    """Deviation of operators from the known invariant block form.
+
+    ops: one (D, D) operator, or an (n, D, D) stack that gets one residual
+    per operator.  projectors: orthogonal projectors onto the symmetry
+    sectors of the underlying Hilbert space.  Cross-sector blocks of an
+    invariant operator must vanish; sectors flagged in scalar_sectors
+    additionally force the within-sector block to be a multiple of the
+    projector (irreducible sector with trivial multiplicity).  Each
+    pi @ ops is formed once for the whole stack.
+    """
+    ops = np.asarray(ops)
+    flags = list(scalar_sectors or ()) + [False] * len(projectors)
+    res = np.zeros(ops.shape[:-2])
+    for i, (pi, flag) in enumerate(zip(projectors, flags)):
+        left = pi @ ops
+        for j, pj in enumerate(projectors):
+            if i != j:
+                res = np.maximum(res, np.max(np.abs(left @ pj), axis=(-2, -1)))
+        d = np.trace(pi).real
+        if flag and d > 0:
+            c = np.trace(left, axis1=-2, axis2=-1).real / d
+            res = np.maximum(res, np.max(np.abs(left @ pi - c[..., None, None] * pi),
+                                         axis=(-2, -1)))
+    return res[()]

@@ -167,6 +167,33 @@ def test_invalid_model_file_fails_cleanly(capsys, tmp_path):
     assert "$.schema" in err
 
 
+BAD_OPTIONS = [("tol", "nan"), ("tol", "-1"), ("tol", "inf"), ("rank_tol", "-1"),
+               ("rank_tol", "1"), ("trials", "0"), ("trials", "-3"), ("seed", "-1")]
+
+
+@pytest.mark.parametrize("key, value", BAD_OPTIONS, ids=lambda x: str(x))
+def test_out_of_range_flags_exit_2(capsys, key, value):
+    flag = "--" + key.replace("_", "-")
+    command = "lemmas" if key == "trials" else "analyze"
+    code, out, err = run_cli(capsys, command, "builtin:cbit_bitflip", flag, value)
+    assert code == 2
+    assert err.startswith(f"error: {flag}: must be")
+    assert out == ""
+
+
+@pytest.mark.parametrize("key, value", BAD_OPTIONS, ids=lambda x: str(x))
+def test_out_of_range_file_options_exit_2(capsys, repo_root, tmp_path, key, value):
+    model = json.loads((repo_root / "models" / "cbit_bitflip.json").read_text())
+    model["options"][key] = value if key.endswith("tol") else int(value)
+    path = tmp_path / "bad_options.json"
+    path.write_text(json.dumps(model))
+    for command in ("analyze", "lemmas"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert err.startswith(f"error: $.options.{key}: must be")
+        assert out == ""
+
+
 def test_bad_subcommand_exits_with_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

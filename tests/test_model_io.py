@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from twirlab.errors import DimensionError, NotAGroup, SchemaError, UnknownBuiltin
+from twirlab.errors import BadOption, DimensionError, NotAGroup, SchemaError, UnknownBuiltin
 from twirlab.model import (
     SCHEMA_TAG,
     canonical_bytes,
@@ -13,6 +13,7 @@ from twirlab.model import (
     parse_builtin_ref,
     parse_model,
 )
+from twirlab.pipeline import Options
 
 
 def minimal_model(**overrides):
@@ -121,17 +122,39 @@ def test_options_parsed_with_string_floats():
     assert m.options == {"tol": 1e-9, "rank_tol": 1e-7, "seed": 7, "trials": 50}
 
 
+OUT_OF_RANGE = [{"tol": "nan"}, {"tol": "inf"}, {"tol": -1e-9},
+                {"rank_tol": -1}, {"rank_tol": 1.0}, {"rank_tol": "nan"},
+                {"trials": 0}, {"trials": -3}, {"seed": -1}]
+
+
 @pytest.mark.parametrize("options,path", [
     ({"tol": "abc"}, "$.options.tol"),
     ({"seed": 1.5}, "$.options.seed"),
     ({"trials": True}, "$.options.trials"),
     ({"verbosity": 2}, "$.options.verbosity"),
     ({"tol": True}, "$.options.tol"),
-])
+] + [(o, f"$.options.{next(iter(o))}") for o in OUT_OF_RANGE])
 def test_bad_options_carry_their_path(options, path):
     with pytest.raises(SchemaError) as exc:
         parse_model(minimal_model(options=options))
     assert exc.value.path == path
+
+
+@pytest.mark.parametrize("options", OUT_OF_RANGE, ids=str)
+def test_out_of_range_options_are_named_errors_in_files_and_options(options):
+    (key, value), = options.items()
+    with pytest.raises(BadOption):
+        parse_model(minimal_model(options=options))
+    with pytest.raises(BadOption) as exc:
+        Options(**{key: float(value) if key.endswith("tol") else value})
+    assert exc.value.path == f"Options.{key}"
+
+
+def test_option_bounds_are_inclusive_where_stated():
+    m = parse_model(minimal_model(options={"tol": 0, "rank_tol": 0.0, "seed": 0,
+                                           "trials": 1}))
+    assert Options(**m.options).as_dict() == {"tol": 0.0, "rank_tol": 0.0,
+                                              "seed": 0, "trials": 1}
 
 
 @pytest.mark.parametrize("mutate,path", [
