@@ -17,13 +17,14 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from twirlab.catalog import bosonic_parameter_counts, bosonic_sector_formula  # noqa: E402
+from twirlab.core import DEFAULT_RANK_TOL  # noqa: E402
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--nmax", type=int, default=5, help="largest cutoff (default 5)")
-    ap.add_argument("--rank-tol", type=float, default=1e-8,
-                    help="relative singular-value cutoff (default 1e-8)")
+    ap.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
+                    help=f"relative singular-value cutoff (default {DEFAULT_RANK_TOL:g})")
     args = ap.parse_args()
 
     print(f"{'N':>3} {'single':>7} {'restricted':>11} {'formula':>8} "

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from twirlab.analysis import build_twirled_world, verify_local_indistinguishability  # noqa: E402
-from twirlab.catalog import boxworld_witness_pairs, make_boxworld  # noqa: E402
+from twirlab.catalog import boxworld_witness_pairs, build_world  # noqa: E402
 from twirlab.core import in_state_cone  # noqa: E402
 
 
@@ -27,7 +27,7 @@ def main() -> int:
                     help="number of s values across [0, 1] (default 11)")
     args = ap.parse_args()
 
-    w = make_boxworld()
+    w = build_world("boxworld_reflection")
     twa = build_twirled_world(w.parts[0], w.part_actions[0])
     twb = build_twirled_world(w.parts[1], w.part_actions[1])
 

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .core import (
+    DEFAULT_RANK_TOL,
     DEFAULT_TOL,
     SystemSpec,
     ValidationReport,
@@ -39,8 +40,6 @@ from .errors import (
     TrivialAction,
 )
 from .symmetry import GroupAction, TwirlProjector, collective_action, twirl_projector
-
-DEFAULT_RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,21 @@
 """Built-in worlds: classical, quantum, and box-like systems with symmetries.
 
-Every recipe produces a WorldBundle: the local systems with their group
-actions, plus (for bipartite recipes) the composite recipe carrying any
-generators beyond the products.  The bundles are what the analysis
-pipeline consumes; the individual constructors are also usable directly.
+Every builtin world is a WorldBundle: the local systems with their group
+actions, plus (for bipartite worlds) the composite carrying any
+generators beyond the products.  BUILTINS lists the worlds, build_world
+builds one; the system and action constructors are also usable directly.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import hermitian
-from .core import CompositeSpec, SystemSpec, compose_systems, numerical_rank
+from .core import DEFAULT_RANK_TOL, CompositeSpec, SystemSpec, compose_systems, numerical_rank
 from .errors import BadParam, UnknownBuiltin, UnsupportedSize
 from .symmetry import (
     Certification,
@@ -45,15 +47,15 @@ class SectorOracle:
 
 @dataclass
 class WorldBundle:
-    name: str
-    params: dict
-    kind: str                      # classical | quantum | boxworld
+    kind: str                      # classical | quantum | boxworld | explicit
     parts: tuple                   # SystemSpec per part
     part_actions: tuple            # GroupAction per part
     composite: SystemSpec | None = None
     collective: GroupAction | None = None
     sectors: dict = field(default_factory=dict)   # system id -> SectorOracle
     notes: str = ""
+    name: str = ""                 # builtin or model name
+    params: dict = field(default_factory=dict)    # builtin parameters
 
     @property
     def bipartite(self) -> bool:
@@ -91,44 +93,32 @@ def cyclic_shift_action(n: int) -> GroupAction:
     return build_finite_action([f"s{a}" for a in range(n)], mats)
 
 
-def make_classical_world(recipe: str, n: int = 2) -> WorldBundle:
-    """Classical pair worlds: 'cbit_bitflip' or 'pointer_discrete'.
+def _dial_pair(n: int, **extras) -> WorldBundle:
+    """Two n-point classical systems under the simultaneous cyclic step."""
+    a = classical_system("A", n)
+    b = classical_system("B", n)
+    act = cyclic_shift_action(n)
+    comp = compose_systems(CompositeSpec(a, b, **extras))
+    return WorldBundle(kind="classical", parts=(a, b), part_actions=(act, act),
+                       composite=comp, collective=collective_action([act, act]))
 
-    cbit_bitflip: two bits with the simultaneous bit flip; the composite
-    carries the two equal-parity indicator effects on top of the products
-    (coarse-grainings of the joint outcome that are not products).
-    pointer_discrete: two n-position dials with the simultaneous step,
-    a discretization of a continuous rotor pointing along a circle.
-    """
-    if recipe == "cbit_bitflip":
-        n = 2
-        a = classical_system("A", 2)
-        b = classical_system("B", 2)
-        act = cyclic_shift_action(2)
-        parity_even = np.array([1.0, 0.0, 0.0, 1.0])
-        parity_odd = np.array([0.0, 1.0, 1.0, 0.0])
-        comp = compose_systems(CompositeSpec(
-            a, b, extra_effect_generators=np.vstack([parity_even, parity_odd])))
-        name = "cbit_bitflip"
-        params = {}
-    elif recipe == "pointer_discrete":
-        if not isinstance(n, int) or n < 2:
-            raise BadParam("pointer_discrete needs an integer n >= 2")
-        if n > 6:
-            raise UnsupportedSize("pointer_discrete supported up to n = 6")
-        a = classical_system("A", n)
-        b = classical_system("B", n)
-        act = cyclic_shift_action(n)
-        comp = compose_systems(CompositeSpec(a, b))
-        name = "pointer_discrete"
-        params = {"n": n}
-    else:
-        raise UnknownBuiltin(f"unknown classical recipe {recipe!r}")
 
-    coll = collective_action([act, act])
-    return WorldBundle(name=name, params=params, kind="classical",
-                       parts=(a, b), part_actions=(act, act),
-                       composite=comp, collective=coll)
+def _cbit_world() -> WorldBundle:
+    """Two bits with the simultaneous bit flip.  The composite carries the
+    two equal-parity indicator effects on top of the products
+    (coarse-grainings of the joint outcome that are not products)."""
+    parity = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]])
+    return _dial_pair(2, extra_effect_generators=parity)
+
+
+def _pointer_world(n: int) -> WorldBundle:
+    """Two n-position dials with the simultaneous step, a discretization
+    of a continuous rotor pointing along a circle."""
+    if n < 2:
+        raise BadParam(f"needs n >= 2, got {n}")
+    if n > 6:
+        raise UnsupportedSize(f"supported up to n = 6, got {n}")
+    return _dial_pair(n)
 
 
 # ------------------------------------------------------------------ quantum
@@ -182,26 +172,12 @@ def _symmetric_projector_3q() -> np.ndarray:
     return p / 6.0
 
 
-def make_quantum_world(recipe: str, **params) -> WorldBundle:
-    """Quantum worlds: 'spinor_su2' (n spins) or 'bosonic_u1' (cutoff modes).
-
-    spinor_su2: n in {1,2,3} spin-1/2 systems under collective rotations,
-    realized by the 24-element 3-design subgroup; n = 3 is split 1|2 for
-    the bipartite analysis.  bosonic_u1: 'modes' in {1,2} Fock spaces
-    truncated at occupation N under a collective phase shift, realized by
-    the cyclic group of order 2N+1 (large enough to kill every phase
-    frequency two cutoff-N modes can carry).
-    """
-    if recipe == "spinor_su2":
-        return _spinor_world(int(params.get("n", 2)))
-    if recipe == "bosonic_u1":
-        return _bosonic_world(int(params.get("N", 1)), int(params.get("modes", 2)))
-    raise UnknownBuiltin(f"unknown quantum recipe {recipe!r}")
-
-
 def _spinor_world(n: int) -> WorldBundle:
+    """n spin-1/2 systems under collective rotations, realized by the
+    24-element 3-design subgroup; n = 3 is split 1|2 for the bipartite
+    analysis."""
     if not 1 <= n <= 3:
-        raise UnsupportedSize("spinor_su2 certified for n in {1, 2, 3}")
+        raise UnsupportedSize(f"certified for n in {{1, 2, 3}}, got {n}")
     act1 = qubit_octahedral_action()
     qa = qubit_system("A")
     swap = _swap_matrix()
@@ -209,8 +185,8 @@ def _spinor_world(n: int) -> WorldBundle:
 
     if n == 1:
         sectors = {"A": SectorOracle([np.eye(2)], [True], (2,))}
-        return WorldBundle(name="spinor_su2", params={"n": 1}, kind="quantum",
-                           parts=(qa,), part_actions=(act1,), sectors=sectors)
+        return WorldBundle(kind="quantum", parts=(qa,), part_actions=(act1,),
+                           sectors=sectors)
 
     if n == 2:
         qb = qubit_system("B")
@@ -222,8 +198,7 @@ def _spinor_world(n: int) -> WorldBundle:
             "AB": SectorOracle([(eye4 - swap) / 2.0, (eye4 + swap) / 2.0],
                                [True, True], (2, 2)),
         }
-        return WorldBundle(name="spinor_su2", params={"n": 2}, kind="quantum",
-                           parts=(qa, qb), part_actions=(act1, act1),
+        return WorldBundle(kind="quantum", parts=(qa, qb), part_actions=(act1, act1),
                            composite=comp, collective=coll, sectors=sectors)
 
     # n = 3: single spin against a pair of spins
@@ -240,8 +215,7 @@ def _spinor_world(n: int) -> WorldBundle:
                           [True, True], (2, 2)),
         "AB": SectorOracle([psym, np.eye(8) - psym], [True, False], (2, 2, 2)),
     }
-    return WorldBundle(name="spinor_su2", params={"n": 3}, kind="quantum",
-                       parts=(qa, bpair), part_actions=(act1, actb),
+    return WorldBundle(kind="quantum", parts=(qa, bpair), part_actions=(act1, actb),
                        composite=comp, collective=coll, sectors=sectors,
                        notes="bipartition one spin | two spins")
 
@@ -317,18 +291,20 @@ def number_sector_projectors(N: int, modes: int) -> list:
 
 
 def _bosonic_world(N: int, modes: int) -> WorldBundle:
+    """One or two Fock spaces truncated at occupation N under a collective
+    phase shift, realized by the cyclic group of order 2N+1 (large enough
+    to kill every phase frequency two cutoff-N modes can carry)."""
     if N < 1:
-        raise BadParam("bosonic_u1 needs a cutoff N >= 1")
+        raise BadParam(f"needs a cutoff N >= 1, got {N}")
     if modes not in (1, 2):
-        raise UnsupportedSize("bosonic_u1 supports one or two modes")
+        raise UnsupportedSize(f"supports modes 1 or 2, got {modes}")
     act = phase_action(N)
     a = fock_mode_system("A", N)
     d = N + 1
     if modes == 1:
         sectors = {"A": SectorOracle(number_sector_projectors(N, 1),
                                      [True] * (N + 1), (d,))}
-        return WorldBundle(name="bosonic_u1", params={"N": N, "modes": 1},
-                           kind="quantum", parts=(a,), part_actions=(act,),
+        return WorldBundle(kind="quantum", parts=(a,), part_actions=(act,),
                            sectors=sectors)
     b = fock_mode_system("B", N)
     comp = compose_systems(CompositeSpec(a, b))
@@ -340,8 +316,7 @@ def _bosonic_world(N: int, modes: int) -> WorldBundle:
         "AB": SectorOracle(number_sector_projectors(N, 2),
                            [False] * (2 * N + 1), (d, d)),
     }
-    return WorldBundle(name="bosonic_u1", params={"N": N, "modes": 2},
-                       kind="quantum", parts=(a, b), part_actions=(act, act),
+    return WorldBundle(kind="quantum", parts=(a, b), part_actions=(act, act),
                        composite=comp, collective=coll, sectors=sectors)
 
 
@@ -357,7 +332,7 @@ def bosonic_sector_formula(N: int) -> tuple[int, int]:
     return restricted, full
 
 
-def bosonic_parameter_counts(N: int, rank_tol: float = 1e-8) -> dict:
+def bosonic_parameter_counts(N: int, rank_tol: float = DEFAULT_RANK_TOL) -> dict:
     """Invariant parameter counts for the cutoff-N phase-averaged worlds.
 
     single_mode: rank of the single-mode generators under the twirl
@@ -448,7 +423,7 @@ def reflection_action() -> GroupAction:
         ["e", "r"], [np.eye(3), np.diag([-1.0, 1.0, 1.0])])
 
 
-def make_boxworld() -> WorldBundle:
+def _boxworld_world() -> WorldBundle:
     """Two square systems with the eight nonlocal extremal joint states,
     under the simultaneous x reflection."""
     a = gbit_system("A")
@@ -456,8 +431,7 @@ def make_boxworld() -> WorldBundle:
     act = reflection_action()
     comp = compose_systems(CompositeSpec(a, b, extra_state_generators=_PR_STATES))
     coll = collective_action([act, act])
-    return WorldBundle(name="boxworld_reflection", params={}, kind="boxworld",
-                       parts=(a, b), part_actions=(act, act),
+    return WorldBundle(kind="boxworld", parts=(a, b), part_actions=(act, act),
                        composite=comp, collective=coll)
 
 
@@ -488,34 +462,56 @@ def boxworld_witness_pairs(s: float) -> BoxworldWitnessPair:
     return BoxworldWitnessPair(plus, minus, e_plus, e_minus)
 
 
-# ---------------------------------------------------------------- dispatch
+# ---------------------------------------------------------------- registry
 
 
-CATALOG = {
-    "cbit_bitflip": ("two classical bits, simultaneous bit flip", {}),
-    "pointer_discrete": ("two n-position dials, simultaneous step", {"n": 6}),
-    "spinor_su2": ("n spin-1/2 systems, collective rotations", {"n": 2}),
-    "bosonic_u1": ("cutoff-N modes, collective phase shift", {"N": 1, "modes": 2}),
-    "boxworld_reflection": ("two square systems with nonlocal states, x flip", {}),
+@dataclass(frozen=True)
+class Builtin:
+    """A builtin world: what it is, its integer parameters with their
+    defaults, and the builder that takes them as keyword arguments."""
+
+    description: str
+    defaults: dict
+    builder: Callable[..., WorldBundle]
+
+
+BUILTINS = {
+    "cbit_bitflip": Builtin(
+        "two classical bits, simultaneous bit flip", {}, _cbit_world),
+    "pointer_discrete": Builtin(
+        "two n-position dials, simultaneous step", {"n": 6}, _pointer_world),
+    "spinor_su2": Builtin(
+        "n spin-1/2 systems, collective rotations", {"n": 2}, _spinor_world),
+    "bosonic_u1": Builtin(
+        "cutoff-N modes, collective phase shift", {"N": 1, "modes": 2}, _bosonic_world),
+    "boxworld_reflection": Builtin(
+        "two square systems with nonlocal states, x flip", {}, _boxworld_world),
 }
-
-DEFAULT_WORLDS = [
-    ("cbit_bitflip", {}),
-    ("pointer_discrete", {"n": 6}),
-    ("spinor_su2", {"n": 2}),
-    ("bosonic_u1", {"N": 1, "modes": 2}),
-    ("boxworld_reflection", {}),
-]
 
 
 def build_world(name: str, params: dict | None = None) -> WorldBundle:
-    params = dict(params or {})
-    if name == "cbit_bitflip":
-        return make_classical_world("cbit_bitflip")
-    if name == "pointer_discrete":
-        return make_classical_world("pointer_discrete", n=int(params.get("n", 6)))
-    if name in ("spinor_su2", "bosonic_u1"):
-        return make_quantum_world(name, **params)
-    if name == "boxworld_reflection":
-        return make_boxworld()
-    raise UnknownBuiltin(f"no builtin world named {name!r}")
+    """The builtin world name, its defaults overridden by params.
+
+    Every parameter is an integer; a float with no fractional part counts
+    as one.  Errors other than UnknownBuiltin start with the world's name.
+    """
+    entry = BUILTINS.get(name)
+    if entry is None:
+        raise UnknownBuiltin(f"no builtin world named {name!r}; "
+                             f"known: {', '.join(sorted(BUILTINS))}")
+    values = dict(entry.defaults)
+    for key, value in (params or {}).items():
+        if key not in entry.defaults:
+            takes = ", ".join(entry.defaults) or "none"
+            raise BadParam(f"{name}: unknown parameter {key}={value!r} (takes {takes})")
+        integral = isinstance(value, numbers.Integral) or (
+            isinstance(value, float) and value.is_integer())
+        if isinstance(value, bool) or not integral:
+            raise BadParam(f"{name}: parameter {key} must be an integer, got {value!r}")
+        values[key] = int(value)
+    try:
+        bundle = entry.builder(**values)
+    except (BadParam, UnsupportedSize) as exc:
+        raise type(exc)(f"{name}: {exc}") from None
+    bundle.name, bundle.params = name, values
+    return bundle

@@ -14,7 +14,7 @@ import os
 import sys
 
 from ._version import __version__
-from .catalog import CATALOG, build_world
+from .catalog import BUILTINS, build_world
 from .errors import TwirlabError
 from .model import check_option, parse_builtin_ref, parse_model
 from .pipeline import Options, render_text, run_analysis
@@ -62,13 +62,10 @@ def _options(args, file_opts: dict) -> Options:
 
 
 def _cmd_list(args) -> int:
-    width = max(len(n) for n in CATALOG)
-    for name in sorted(CATALOG):
-        desc, defaults = CATALOG[name]
-        dtxt = ""
-        if defaults:
-            dtxt = "  [" + ", ".join(f"{k}={v}" for k, v in sorted(defaults.items())) + "]"
-        print(f"{name:<{width}}  {desc}{dtxt}")
+    width = max(len(n) for n in BUILTINS)
+    for name, entry in sorted(BUILTINS.items()):
+        dtxt = ", ".join(f"{k}={v}" for k, v in sorted(entry.defaults.items()))
+        print(f"{name:<{width}}  {entry.description}" + (f"  [{dtxt}]" if dtxt else ""))
     return 0
 
 
@@ -177,15 +174,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "and locality analysis")
     ap.add_argument("--version", action="version", version=f"twirlab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
+    defaults = Options()
 
     def add_model(p):
         p.add_argument("model", help="model file path or builtin:name?k=v")
         p.add_argument("--tol", type=float, default=None,
-                       help="verification tolerance (default 1e-9)")
+                       help=f"verification tolerance (default {defaults.tol:g})")
         p.add_argument("--rank-tol", dest="rank_tol", type=float, default=None,
-                       help="relative singular-value cutoff (default 1e-8)")
+                       help=f"relative singular-value cutoff (default {defaults.rank_tol:g})")
         p.add_argument("--seed", type=int, default=None,
-                       help="probe RNG seed (default 42)")
+                       help=f"probe RNG seed (default {defaults.seed})")
 
     p = sub.add_parser("validate", help="structural checks on the base world")
     add_model(p)
@@ -194,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lemmas", help="averaging identities on random probes")
     add_model(p)
     p.add_argument("--trials", type=int, default=None,
-                   help="number of probe vectors (default 200)")
+                   help=f"number of probe vectors (default {defaults.trials})")
     p.set_defaults(func=_cmd_lemmas)
 
     p = sub.add_parser("analyze", help="full verification and locality analysis")

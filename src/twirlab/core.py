@@ -26,6 +26,7 @@ from .errors import (
 from . import hermitian
 
 DEFAULT_TOL = 1e-9
+DEFAULT_RANK_TOL = 1e-8    # relative singular-value cutoff of every rank
 
 # decimal places of the key that looks a vector up among listed generators
 _KEY_DECIMALS = 10
@@ -557,7 +558,7 @@ def _subnorm_state_check(part: SystemSpec, v: np.ndarray, proj: np.ndarray | Non
     return _verdicts(bad, tol, single)
 
 
-def numerical_rank(m: np.ndarray, rank_tol: float = 1e-8) -> int:
+def numerical_rank(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Singular values above rank_tol times the largest one."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.size == 0:
@@ -565,14 +566,14 @@ def numerical_rank(m: np.ndarray, rank_tol: float = 1e-8) -> int:
     return rank_of_singular_values(np.linalg.svd(m, compute_uv=False), rank_tol)
 
 
-def rank_of_singular_values(sv: np.ndarray, rank_tol: float = 1e-8) -> int:
+def rank_of_singular_values(sv: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """How many of the descending singular values sv exceed rank_tol * sv[0]."""
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.sum(sv > rank_tol * sv[0]))
 
 
-def orthonormal_range(m: np.ndarray, rank_tol: float = 1e-8) -> np.ndarray:
+def orthonormal_range(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the column span of m."""
     u, sv, _ = np.linalg.svd(np.atleast_2d(np.asarray(m, dtype=float)), full_matrices=False)
     return u[:, :rank_of_singular_values(sv, rank_tol)]

@@ -80,4 +80,4 @@ class UnknownBuiltin(TwirlabError):
 
 
 class BadParam(TwirlabError):
-    """A recipe parameter is missing, of the wrong type, or out of range."""
+    """A builtin parameter is unknown, repeated, not an integer, or out of range."""

@@ -21,9 +21,9 @@ from urllib.parse import parse_qsl
 
 import numpy as np
 
-from .catalog import CATALOG, WorldBundle, build_world
+from .catalog import WorldBundle, build_world
 from .core import CompositeSpec, SystemSpec, compose_systems
-from .errors import BadOption, DimensionError, SchemaError, UnknownBuiltin
+from .errors import BadOption, BadParam, DimensionError, SchemaError
 from .symmetry import build_finite_action, collective_action
 
 SCHEMA_TAG = "twirlab/1"
@@ -211,15 +211,15 @@ def check_option(key: str, value, path: str) -> None:
 
 
 def parse_builtin_ref(ref: str) -> tuple[str, dict]:
-    """Parse 'builtin:name?key=value&...' into a recipe name and params."""
-    body = ref[len("builtin:"):]
-    name = body.split("?", 1)[0]
-    if name not in CATALOG:
-        raise UnknownBuiltin(
-            f"no builtin world named {name!r}; known: {', '.join(sorted(CATALOG))}")
+    """Parse 'builtin:name?key=value&...' into a builtin name and params.
+
+    build_world checks the name and the values; a repeated key is a BadParam.
+    """
+    name, _, query = ref[len("builtin:"):].partition("?")
     params = {}
-    query = body.split("?", 1)[1] if "?" in body else ""
     for k, v in parse_qsl(query, keep_blank_values=True):
+        if k in params:
+            raise BadParam(f"{name}: parameter {k} given twice in {ref!r}")
         try:
             params[k] = int(v)
         except ValueError:
@@ -274,11 +274,10 @@ def parse_model(source) -> ModelFile:
         bname = group.get("name")
         _expect(isinstance(bname, str) and bname, "$.group.name",
                 "builtin group needs a recipe name")
-        if bname not in CATALOG:
-            raise UnknownBuiltin(f"no builtin world named {bname!r}")
         params = group.get("params", {})
         _expect(isinstance(params, dict), "$.group.params", "params must be an object")
-        bundle = build_world(bname, params)
+        bundle = build_world(bname, {k: _float_entry(v, f"$.group.params.{k}")
+                                     for k, v in params.items()})
         return ModelFile(name=name, bundle=bundle, options=opts,
                          raw=raw, digest=digest(raw))
 
@@ -333,9 +332,9 @@ def parse_model(source) -> ModelFile:
         sys_list = [pa, pb]
         act_list = [actions[parts[0]], actions[parts[1]]]
 
-    bundle = WorldBundle(name=name, params={}, kind="explicit",
-                         parts=tuple(sys_list), part_actions=tuple(act_list),
-                         composite=composite, collective=collective)
+    bundle = WorldBundle(kind="explicit", parts=tuple(sys_list),
+                         part_actions=tuple(act_list), composite=composite,
+                         collective=collective, name=name)
     return ModelFile(name=name, bundle=bundle, options=opts,
                      raw=raw, digest=digest(raw))
 

@@ -33,6 +33,7 @@ from .analysis import (
 from .catalog import WorldBundle, bosonic_parameter_counts
 from .core import (
     _BLOCK_FLOATS,
+    DEFAULT_RANK_TOL,
     DEFAULT_TOL,
     SteeringReport,
     SystemSpec,
@@ -50,7 +51,7 @@ REPORT_SCHEMA = "twirlab-report/1"
 @dataclass
 class Options:
     tol: float = DEFAULT_TOL
-    rank_tol: float = 1e-8
+    rank_tol: float = DEFAULT_RANK_TOL
     seed: int = 42
     trials: int = 200
 
@@ -231,8 +232,7 @@ def run_analysis(bundle: WorldBundle, options: Options | None = None,
         "K_A_times_K_B": verdict.k_a * verdict.k_b,
     }
     if bundle.name == "bosonic_u1" and bundle.params.get("modes") == 2:
-        counts["occupation_sectors"] = bosonic_parameter_counts(
-            int(bundle.params["N"]), rank_tol)
+        counts["occupation_sectors"] = bosonic_parameter_counts(bundle.params["N"], rank_tol)
     data["counts"] = counts
 
     loc = {
@@ -412,6 +412,6 @@ def render_text(data: dict) -> str:
     sec = data.get("sector_blocks")
     if sec:
         worst = max(sec.values())
-        lines.append(f"[{_flag(worst <= 1e-9)}] invariants respect the known "
-                     f"sector blocks (worst off-block residual {worst:.2e})")
+        lines.append(f"[{_flag(worst <= data['options']['tol'])}] invariants respect "
+                     f"the known sector blocks (worst off-block residual {worst:.2e})")
     return "\n".join(lines)

@@ -19,6 +19,7 @@ from itertools import permutations, product
 
 import numpy as np
 
+from .core import DEFAULT_TOL
 from .errors import (
     CertificationError,
     DimensionMismatch,
@@ -26,8 +27,6 @@ from .errors import (
     NotAGroup,
     UnsupportedSize,
 )
-
-DEFAULT_TOL = 1e-9
 
 # above this dimension, projector invariants are spot-checked on seeded
 # probe vectors instead of full matrix products
@@ -214,23 +213,15 @@ def twirl_projector(a: GroupAction, tol: float = DEFAULT_TOL) -> TwirlProjector:
                           commutation_residual=comm)
 
 
-def twirl_state(p: TwirlProjector, omega: np.ndarray) -> np.ndarray:
-    return p.matrix @ omega
-
-
-def twirl_effect(p: TwirlProjector, e: np.ndarray) -> np.ndarray:
-    return e @ p.matrix
-
-
 def twirl(p: TwirlProjector, x: np.ndarray, kind: str = "state") -> np.ndarray:
     """Average a state (acts on the left) or an effect (acts on the right)."""
     x = np.asarray(x, dtype=float)
     if x.shape[0 if kind == "state" else -1] != p.dim:
         raise DimensionMismatch("vector does not match projector dimension")
     if kind == "state":
-        return twirl_state(p, x)
+        return p.matrix @ x
     if kind == "effect":
-        return twirl_effect(p, x)
+        return x @ p.matrix
     raise ValueError(f"kind must be 'state' or 'effect', got {kind!r}")
 
 

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))  # for oracles.py
 
-from twirlab import DEFAULT_WORLDS, build_world
+from twirlab import BUILTINS, build_world
 from twirlab.pipeline import Options, run_analysis
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -19,7 +19,7 @@ def repo_root() -> pathlib.Path:
 @pytest.fixture(scope="session")
 def worlds():
     """All builtin worlds at their default parameters."""
-    return {name: build_world(name, dict(params)) for name, params in DEFAULT_WORLDS}
+    return {name: build_world(name) for name in BUILTINS}
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from twirlab.catalog import (
     bosonic_parameter_counts,
     bosonic_sector_formula,
     boxworld_witness_pairs,
-    make_boxworld,
+    build_world,
 )
 from twirlab.cli import main
 from twirlab.model import parse_model
@@ -61,7 +61,7 @@ def test_criterion_2_bosonic_parameter_counts(capsys):
 
 def test_criterion_3_boxworld_reproduction(repo_root, capsys):
     mf = parse_model(str(repo_root / "models" / "boxworld_reflection.json"))
-    reference = make_boxworld()
+    reference = build_world("boxworld_reflection")
     # the shipped file reproduces every vector of the in-code world
     for shipped, built in zip(mf.bundle.parts, reference.parts):
         assert np.array_equal(shipped.state_generators, built.state_generators)
@@ -148,8 +148,8 @@ def test_criterion_7_sector_block_form(analyses, capsys):
 
 
 def test_criterion_8_deterministic_reports(repo_root, capsys):
-    first = run_analysis(make_boxworld(), Options()).to_bytes()
-    second = run_analysis(make_boxworld(), Options()).to_bytes()
+    first = run_analysis(build_world("boxworld_reflection"), Options()).to_bytes()
+    second = run_analysis(build_world("boxworld_reflection"), Options()).to_bytes()
     assert first == second
     path = str(repo_root / "models" / "cbit_bitflip.json")
     assert main(["analyze", path, "--format", "json"]) == 0

@@ -5,8 +5,7 @@ import oracles
 from twirlab import hermitian
 from twirlab.analysis import build_twirled_world, count_parameters, locality_verdict
 from twirlab.catalog import (
-    CATALOG,
-    DEFAULT_WORLDS,
+    BUILTINS,
     bosonic_parameter_counts,
     bosonic_sector_formula,
     boxworld_witness_pairs,
@@ -16,13 +15,11 @@ from twirlab.catalog import (
     fock_mode_generators,
     fock_mode_system,
     gbit_system,
-    make_boxworld,
-    make_classical_world,
-    make_quantum_world,
     phase_action,
     qubit_system,
     reflection_action,
 )
+from twirlab.cli import main
 from twirlab.core import in_state_cone, validate_system
 from twirlab.errors import BadParam, UnknownBuiltin, UnsupportedSize
 from twirlab.symmetry import collective_action, twirl_projector
@@ -41,15 +38,15 @@ def test_classical_size_guards():
     with pytest.raises(UnsupportedSize):
         classical_system("A", 13)
     with pytest.raises(BadParam):
-        make_classical_world("pointer_discrete", n=1)
+        build_world("pointer_discrete", {"n": 1})
     with pytest.raises(UnsupportedSize):
-        make_classical_world("pointer_discrete", n=7)
+        build_world("pointer_discrete", {"n": 7})
     with pytest.raises(UnknownBuiltin):
-        make_classical_world("maxwell_demon")
+        build_world("maxwell_demon")
 
 
 def test_cbit_composite_carries_parity_rows():
-    w = make_classical_world("cbit_bitflip")
+    w = build_world("cbit_bitflip")
     eff = w.composite.effect_generators
     assert np.array_equal(eff[16], [1.0, 0.0, 0.0, 1.0])
     assert np.array_equal(eff[17], [0.0, 1.0, 1.0, 0.0])
@@ -57,7 +54,7 @@ def test_cbit_composite_carries_parity_rows():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_pointer_invariant_count_is_the_orbit_count(n):
-    w = make_classical_world("pointer_discrete", n=n)
+    w = build_world("pointer_discrete", {"n": n})
     tw = build_twirled_world(w.composite, w.collective)
     assert count_parameters(tw) == n == oracles.cyclic_orbit_count(n)
 
@@ -82,15 +79,15 @@ def test_qubit_states_are_pure_projectors():
 
 def test_spinor_guard_and_split():
     with pytest.raises(UnsupportedSize):
-        make_quantum_world("spinor_su2", n=4)
-    w3 = make_quantum_world("spinor_su2", n=3)
+        build_world("spinor_su2", {"n": 4})
+    w3 = build_world("spinor_su2", {"n": 3})
     assert w3.parts[0].id == "A" and w3.parts[1].id == "B"
     assert w3.parts[1].dim == 16
     assert w3.composite.dim == 64
 
 
 def test_three_spin_split_counts_and_verdict():
-    w = make_quantum_world("spinor_su2", n=3)
+    w = build_world("spinor_su2", {"n": 3})
     twa = build_twirled_world(w.parts[0], w.part_actions[0])
     twb = build_twirled_world(w.parts[1], w.part_actions[1])
     twab = build_twirled_world(w.composite, w.collective)
@@ -140,11 +137,11 @@ def test_finite_phase_realizations_agree_on_two_factors(N):
 
 def test_bosonic_guards():
     with pytest.raises(BadParam):
-        make_quantum_world("bosonic_u1", N=0)
+        build_world("bosonic_u1", {"N": 0})
     with pytest.raises(UnsupportedSize):
-        make_quantum_world("bosonic_u1", N=1, modes=3)
+        build_world("bosonic_u1", {"N": 1, "modes": 3})
     with pytest.raises(UnknownBuiltin):
-        make_quantum_world("fermionic_su3")
+        build_world("fermionic_su3")
 
 
 def test_bosonic_counts_small():
@@ -169,7 +166,7 @@ def test_gbit_vertices_saturate_extremal_effects():
 
 
 def test_joint_states_form_nonlocal_boxes():
-    w = make_boxworld()
+    w = build_world("boxworld_reflection")
     a, b = w.parts
     # measurement effects by direction: x -> rows 2,3 and y -> rows 4,5
     settings = {"x": (2, 3), "y": (4, 5)}
@@ -199,13 +196,13 @@ def test_joint_states_form_nonlocal_boxes():
 def test_reflection_projectors_match_known_form():
     p_local = twirl_projector(reflection_action()).matrix
     assert np.array_equal(p_local, oracles.z2_reflection_projector_3())
-    w = make_boxworld()
+    w = build_world("boxworld_reflection")
     p_joint = twirl_projector(w.collective).matrix
     assert np.allclose(p_joint, oracles.z2_joint_reflection_projector_9(), atol=1e-15)
 
 
 def test_twirled_nonlocal_states_pair_up():
-    w = make_boxworld()
+    w = build_world("boxworld_reflection")
     p = twirl_projector(w.collective).matrix
     gens = w.composite.state_generators
     twirled = [p @ gens[:, c] for c in range(16, 24)]
@@ -223,7 +220,7 @@ def test_twirled_nonlocal_states_pair_up():
 
 
 def test_boxworld_exact_invariant_ranks():
-    w = make_boxworld()
+    w = build_world("boxworld_reflection")
     local = oracles.brute_force_invariant_rank(
         w.parts[0].state_generators, w.part_actions[0].elements)
     joint = oracles.brute_force_invariant_rank(
@@ -235,7 +232,7 @@ def test_boxworld_exact_invariant_ranks():
 
 @pytest.mark.parametrize("s", [0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0])
 def test_witness_family_statistics(s):
-    w = make_boxworld()
+    w = build_world("boxworld_reflection")
     p = twirl_projector(w.collective).matrix
     pair = boxworld_witness_pairs(s)
     for state in (pair.state_plus, pair.state_minus):
@@ -258,22 +255,59 @@ def test_witness_family_parameter_guard():
         boxworld_witness_pairs(-0.1)
 
 
-# ---------------------------------------------------------------- dispatch
+# ---------------------------------------------------------------- registry
 
 
-def test_catalog_lists_every_recipe():
-    assert set(CATALOG) == {"cbit_bitflip", "pointer_discrete", "spinor_su2",
-                            "bosonic_u1", "boxworld_reflection"}
-    for desc, defaults in CATALOG.values():
-        assert isinstance(desc, str) and isinstance(defaults, dict)
+def test_builtins_list_every_world():
+    assert set(BUILTINS) == {"cbit_bitflip", "pointer_discrete", "spinor_su2",
+                             "bosonic_u1", "boxworld_reflection"}
+    for entry in BUILTINS.values():
+        assert isinstance(entry.description, str) and isinstance(entry.defaults, dict)
 
 
-def test_default_worlds_all_build():
-    for name, params in DEFAULT_WORLDS:
-        w = build_world(name, dict(params))
-        assert w.name == name
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_builtin_defaults_build_and_list(name, capsys):
+    entry = BUILTINS[name]
+    w = build_world(name)
+    assert w.name == name
+    assert w.params == entry.defaults
+    assert main(["list"]) == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.split()[0] == name)
+    assert entry.description in line
+    for key, value in entry.defaults.items():
+        assert f"{key}={value}" in line
 
 
 def test_unknown_world_rejected():
-    with pytest.raises(UnknownBuiltin):
+    with pytest.raises(UnknownBuiltin, match="known: bosonic_u1, boxworld_reflection"):
         build_world("heat_bath")
+
+
+BAD_PARAMS = [
+    ("pointer_discrete", "n", "abc"),
+    ("pointer_discrete", "n", 4.7),
+    ("pointer_discrete", "n", True),
+    ("pointer_discrete", "n", [2]),
+    ("pointer_discrete", "n", float("nan")),
+    ("pointer_discrete", "m", 3),
+    ("spinor_su2", "n", 2.5),
+    ("bosonic_u1", "N", True),
+    ("cbit_bitflip", "n", 9),
+]
+
+
+@pytest.mark.parametrize("name, key, value", BAD_PARAMS, ids=str)
+def test_bad_params_name_world_key_and_value(name, key, value):
+    with pytest.raises(BadParam) as exc:
+        build_world(name, {key: value})
+    msg = str(exc.value)
+    assert msg.startswith(f"{name}: ")
+    assert key in msg and repr(value) in msg
+
+
+@pytest.mark.parametrize("value", [4, 4.0, np.int64(4), np.float64(4.0)], ids=repr)
+def test_integral_params_accepted(value):
+    w = build_world("pointer_discrete", {"n": value})
+    assert w.params == {"n": 4} and type(w.params["n"]) is int
+    assert w.composite.dim == 16

@@ -153,6 +153,54 @@ def test_unknown_builtin_fails_cleanly(capsys):
     assert "error:" in err
 
 
+BAD_REFS = ["pointer_discrete?n=abc", "pointer_discrete?n=4.7", "spinor_su2?n=2.5",
+            "pointer_discrete?n=true", "pointer_discrete?m=3", "cbit_bitflip?n=9",
+            "pointer_discrete?n=2&n=3"]
+
+
+@pytest.mark.parametrize("ref", BAD_REFS)
+def test_bad_builtin_params_exit_2(capsys, ref):
+    code, out, err = run_cli(capsys, "analyze", "builtin:" + ref)
+    assert code == 2
+    assert err.startswith(f"error: {ref.split('?')[0]}: ")
+    assert "Traceback" not in err and out == ""
+
+
+BAD_FILE_PARAMS = [
+    ("pointer_discrete", {"n": "abc"}, "$.group.params.n: not a number"),
+    ("pointer_discrete", {"n": [2]}, "$.group.params.n: expected a number"),
+    ("bosonic_u1", {"N": True}, "$.group.params.N: expected a number"),
+    ("pointer_discrete", {"n": 4.7}, "pointer_discrete: parameter n"),
+    ("spinor_su2", {"n": 2.5}, "spinor_su2: parameter n"),
+    ("pointer_discrete", {"m": 3}, "pointer_discrete: unknown parameter m"),
+    ("cbit_bitflip", {"n": 9}, "cbit_bitflip: unknown parameter n"),
+]
+
+
+def _builtin_model(tmp_path, name, params):
+    path = tmp_path / "builtin_group.json"
+    path.write_text(json.dumps({"schema": "twirlab/1", "name": "from-builtin",
+                                "group": {"kind": "builtin", "name": name,
+                                          "params": params}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("name, params, message", BAD_FILE_PARAMS, ids=str)
+def test_bad_builtin_params_in_model_file_exit_2(capsys, tmp_path, name, params, message):
+    code, out, err = run_cli(capsys, "analyze", _builtin_model(tmp_path, name, params))
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err and out == ""
+
+
+def test_integral_builtin_params_run(capsys, tmp_path):
+    for ref in ("builtin:pointer_discrete?n=4.0",
+                _builtin_model(tmp_path, "pointer_discrete", {"n": "4"})):
+        code, out, _ = run_cli(capsys, "analyze", ref, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["model"]["params"] == {"n": 4}
+
+
 def test_missing_file_fails_cleanly(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", str(tmp_path / "nope.json"))
     assert code == 2

@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from twirlab.errors import BadOption, DimensionError, NotAGroup, SchemaError, UnknownBuiltin
+from twirlab.catalog import build_world
+from twirlab.errors import (
+    BadOption,
+    BadParam,
+    DimensionError,
+    NotAGroup,
+    SchemaError,
+    UnknownBuiltin,
+)
 from twirlab.model import (
     SCHEMA_TAG,
     canonical_bytes,
@@ -247,5 +255,9 @@ def test_builtin_ref_parsing():
     assert name == "pointer_discrete" and params == {"n": 4}
     _, params = parse_builtin_ref("builtin:bosonic_u1?N=2&modes=1")
     assert params == {"N": 2, "modes": 1}
+    with pytest.raises(BadParam, match="pointer_discrete: parameter n given twice"):
+        parse_builtin_ref("builtin:pointer_discrete?n=2&n=3")
+    # names are checked where worlds are built
+    assert parse_builtin_ref("builtin:warp_drive") == ("warp_drive", {})
     with pytest.raises(UnknownBuiltin):
-        parse_builtin_ref("builtin:warp_drive")
+        build_world(*parse_builtin_ref("builtin:warp_drive"))

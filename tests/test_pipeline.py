@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -130,6 +131,16 @@ def test_render_text_sector_line():
     text = render_text(run_analysis(build_world("spinor_su2", {"n": 1})).data)
     assert "sector blocks" in text
     assert "[FAIL]" not in text
+
+
+@pytest.mark.parametrize("tol, residual, flag", [(1e-6, 1e-8, "pass"),
+                                                 (1e-12, 1e-10, "FAIL")])
+def test_render_text_sector_line_reads_report_tol(tol, residual, flag):
+    data = copy.deepcopy(run_analysis(build_world("spinor_su2", {"n": 1})).data)
+    data["options"]["tol"] = tol
+    data["sector_blocks"] = {"A": residual}
+    line = next(s for s in render_text(data).splitlines() if "sector blocks" in s)
+    assert line.startswith(f"[{flag}]")
 
 
 @pytest.mark.parametrize("name", ["cbit_bitflip", "boxworld_reflection"])
