@@ -1,10 +1,12 @@
 """Print the sha256 of the canonical report of each builtin world of the ladder.
 
 One line per run on stdout, `world params seed sha256`, so the output of
-two commits can be diffed to show that no report byte moved; seconds per
-run go to stderr.  The ladder is cbit, boxworld, pointer_discrete
-n=2..6, spinor_su2 n=1..3 and bosonic_u1 N=1..3 with one and two modes;
-`--with-n4` adds bosonic_u1 N=4 with two modes (several seconds a run).
+two commits can be diffed to show that no report byte moved.  Seconds
+per run go to stderr, split into building the world and analysing it
+(`run_analysis` plus `to_bytes`).  The ladder is cbit, boxworld,
+pointer_discrete n=2..6, spinor_su2 n=1..3 and bosonic_u1 N=1..3 with
+one and two modes; `--with-n4` adds bosonic_u1 N=4 with two modes
+(several seconds a run).
 
     python3 scripts/report_hashes.py --seeds 1 42 > before.txt
 """
@@ -39,13 +41,15 @@ def main() -> int:
     for seed in args.seeds:
         for name, params in worlds:
             t0 = time.perf_counter()
-            payload = run_analysis(build_world(name, dict(params)),
-                                   Options(seed=seed)).to_bytes()
-            seconds = time.perf_counter() - t0
+            bundle = build_world(name, dict(params))
+            t1 = time.perf_counter()
+            payload = run_analysis(bundle, Options(seed=seed)).to_bytes()
+            t2 = time.perf_counter()
             ptxt = ",".join(f"{k}={v}" for k, v in sorted(params.items())) or "-"
             print(f"{name} {ptxt} {seed} {hashlib.sha256(payload).hexdigest()}",
                   flush=True)
-            print(f"{name} {ptxt} {seed}: {seconds:.2f} s", file=sys.stderr)
+            print(f"{name} {ptxt} {seed}: build {t1 - t0:.3f} s, "
+                  f"analysis {t2 - t1:.3f} s", file=sys.stderr)
     return 0
 
 

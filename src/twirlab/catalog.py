@@ -296,6 +296,8 @@ def _bosonic_world(N: int, modes: int) -> WorldBundle:
     to kill every phase frequency two cutoff-N modes can carry)."""
     if N < 1:
         raise BadParam(f"needs a cutoff N >= 1, got {N}")
+    if N > 5:
+        raise UnsupportedSize(f"supported up to N = 5, got {N}")
     if modes not in (1, 2):
         raise UnsupportedSize(f"supports modes 1 or 2, got {modes}")
     act = phase_action(N)

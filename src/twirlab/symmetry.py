@@ -19,6 +19,7 @@ from itertools import permutations, product
 
 import numpy as np
 
+from . import core
 from .core import DEFAULT_TOL
 from .errors import (
     CertificationError,
@@ -81,13 +82,48 @@ class GroupAction:
         return all(np.max(np.abs(m - eye)) <= tol for m in self.elements)
 
 
+def _first_matches(mats: np.ndarray, targets: np.ndarray, tol: float) -> np.ndarray:
+    """Index of the first element of mats within tol of each target, or -1.
+
+    A target matches element k when every entry differs by at most tol;
+    the lowest such k wins.  The (target, element) differences are formed
+    in blocks of about core._BLOCK_FLOATS floats, never fewer than one pair.
+    """
+    n, d, _ = mats.shape
+    pairs = max(1, core._BLOCK_FLOATS // (d * d))
+    step_k = min(n, pairs)
+    step_t = max(1, pairs // step_k)
+    out = np.full(len(targets), -1)
+    for t0 in range(0, len(targets), step_t):
+        found = out[t0:t0 + step_t]
+        block = targets[t0:t0 + step_t]
+        for k0 in range(0, n, step_k):
+            hit = np.abs(mats[k0:k0 + step_k, None] - block).max(axis=(2, 3)) <= tol
+            new = (found < 0) & hit.any(axis=0)
+            found[new] = k0 + hit.argmax(axis=0)[new]
+            if found.min() >= 0:
+                break
+    return out
+
+
+def _closure_table(mats: np.ndarray, tol: float) -> np.ndarray:
+    """(n, n) table whose [i, j] entry indexes mats[i] @ mats[j] in mats.
+
+    The entry is the first element within tol of the product entrywise,
+    or -1 when there is none.  Row i is one stacked product.
+    """
+    return np.stack([_first_matches(mats, np.matmul(m, mats), tol) for m in mats])
+
+
 def build_finite_action(labels, matrices, tol: float = DEFAULT_TOL,
                         certification: Certification | None = None) -> GroupAction:
     """Validate a labeled matrix list as a finite group action.
 
     Checks invertibility of every element, closure of pairwise products
     within the list, presence of an identity, and an inverse for each
-    element (read off the closure table).
+    element (read off the closure table).  A matrix is in the list when
+    it equals an element entrywise within tol; a closure failure names
+    the first pair in row-major order whose product is not.
     """
     mats = np.array(matrices, dtype=float)
     if mats.ndim != 3:
@@ -99,32 +135,24 @@ def build_finite_action(labels, matrices, tol: float = DEFAULT_TOL,
     if len(labels) != n:
         raise LabelMismatch(f"{len(labels)} labels for {n} matrices")
 
-    for lab, m in zip(labels, mats):
-        if abs(np.linalg.det(m)) < 1e-12:
-            raise NotAGroup(f"element {lab!r} is singular")
+    singular = np.flatnonzero(np.abs(np.linalg.det(mats)) < 1e-12)
+    if singular.size:
+        raise NotAGroup(f"element {labels[singular[0]]!r} is singular")
 
-    def find(m: np.ndarray) -> int:
-        for k in range(n):
-            if np.max(np.abs(mats[k] - m)) <= tol:
-                return k
-        return -1
-
-    id_idx = find(np.eye(d))
+    id_idx = _first_matches(mats, np.eye(d)[None], tol)[0]
     if id_idx < 0:
         raise NotAGroup("no identity element in the list")
 
-    table = np.empty((n, n), dtype=int)
-    for i in range(n):
-        for j in range(n):
-            k = find(mats[i] @ mats[j])
-            if k < 0:
-                raise NotAGroup(
-                    f"product of {labels[i]!r} and {labels[j]!r} is not in the list")
-            table[i, j] = k
+    table = _closure_table(mats, tol)
+    missing = np.argwhere(table < 0)
+    if missing.size:
+        i, j = missing[0]
+        raise NotAGroup(
+            f"product of {labels[i]!r} and {labels[j]!r} is not in the list")
 
-    for i in range(n):
-        if not np.any(table[i] == id_idx):
-            raise NotAGroup(f"element {labels[i]!r} has no inverse in the list")
+    no_inverse = np.flatnonzero(~np.any(table == id_idx, axis=1))
+    if no_inverse.size:
+        raise NotAGroup(f"element {labels[no_inverse[0]]!r} has no inverse in the list")
 
     return GroupAction(labels=labels, elements=mats,
                        certification=certification or Certification())
@@ -144,8 +172,10 @@ def collective_action(parts: list[GroupAction], tol: float = DEFAULT_TOL) -> Gro
         if p.labels != labels:
             raise LabelMismatch("element labels differ across parts")
     mats = parts[0].elements
-    for p in parts[1:]:
-        mats = np.stack([np.kron(a, b) for a, b in zip(mats, p.elements)])
+    for p in parts[1:]:  # one product per entry, as np.kron forms them
+        b = p.elements
+        size = mats.shape[1] * b.shape[1]
+        mats = (mats[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, size, size)
 
     certs = [p.certification for p in parts]
     realizes = certs[0].realizes

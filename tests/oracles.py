@@ -382,3 +382,51 @@ def sector_block_residual(ops: np.ndarray, projectors: list[np.ndarray],
             res = np.maximum(res, np.max(np.abs(left @ pi - c[..., None, None] * pi),
                                          axis=(-2, -1)))
     return res[()]
+
+
+# ------------------------------------------------- per-product closure scan
+#
+# The library forms each row of a closure table as one stacked product and
+# matches it against every element with one distance reduction; this is
+# the per-product scan it replaced, kept verbatim as the reference.
+
+
+def closure_table(mats: np.ndarray, tol: float) -> np.ndarray:
+    """Index of mats[i] @ mats[j] in mats at [i, j], -1 where it is missing."""
+    n = len(mats)
+
+    def find(m: np.ndarray) -> int:
+        for k in range(n):
+            if np.max(np.abs(mats[k] - m)) <= tol:
+                return k
+        return -1
+
+    table = np.empty((n, n), dtype=int)
+    for i in range(n):
+        for j in range(n):
+            table[i, j] = find(mats[i] @ mats[j])
+    return table
+
+
+def group_error(labels, mats: np.ndarray, tol: float) -> str | None:
+    """The NotAGroup message the per-product checks give, or None."""
+    n, d = len(mats), mats.shape[1]
+    for lab, m in zip(labels, mats):
+        if abs(np.linalg.det(m)) < 1e-12:
+            return f"element {lab!r} is singular"
+    id_idx = -1
+    for k in range(n):
+        if np.max(np.abs(mats[k] - np.eye(d))) <= tol:
+            id_idx = k
+            break
+    if id_idx < 0:
+        return "no identity element in the list"
+    table = closure_table(mats, tol)
+    for i in range(n):
+        for j in range(n):
+            if table[i, j] < 0:
+                return f"product of {labels[i]!r} and {labels[j]!r} is not in the list"
+    for i in range(n):
+        if not np.any(table[i] == id_idx):
+            return f"element {labels[i]!r} has no inverse in the list"
+    return None

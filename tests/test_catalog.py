@@ -140,6 +140,8 @@ def test_bosonic_guards():
         build_world("bosonic_u1", {"N": 0})
     with pytest.raises(UnsupportedSize):
         build_world("bosonic_u1", {"N": 1, "modes": 3})
+    with pytest.raises(UnsupportedSize, match="bosonic_u1: supported up to N = 5, got 6"):
+        build_world("bosonic_u1", {"N": 6})
     with pytest.raises(UnknownBuiltin):
         build_world("fermionic_su3")
 

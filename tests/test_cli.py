@@ -166,6 +166,20 @@ def test_bad_builtin_params_exit_2(capsys, ref):
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("N", [6, 20])
+def test_oversized_bosonic_cutoff_exits_2_before_building(capsys, monkeypatch, N):
+    from twirlab import catalog
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a mode beyond the supported cutoff")
+
+    monkeypatch.setattr(catalog, "phase_action", refuse)
+    monkeypatch.setattr(catalog, "fock_mode_system", refuse)
+    code, out, err = run_cli(capsys, "validate", f"builtin:bosonic_u1?N={N}")
+    assert code == 2 and out == ""
+    assert err == f"error: bosonic_u1: supported up to N = 5, got {N}\n"
+
+
 BAD_FILE_PARAMS = [
     ("pointer_discrete", {"n": "abc"}, "$.group.params.n: not a number"),
     ("pointer_discrete", {"n": [2]}, "$.group.params.n: expected a number"),
