@@ -3,10 +3,11 @@
 One line per run on stdout, `world params seed sha256`, so the output of
 two commits can be diffed to show that no report byte moved.  Seconds
 per run go to stderr, split into building the world and analysing it
-(`run_analysis` plus `to_bytes`).  The ladder is cbit, boxworld,
-pointer_discrete n=2..6, spinor_su2 n=1..3 and bosonic_u1 N=1..3 with
-one and two modes; `--with-n4` adds bosonic_u1 N=4 with two modes
-(several seconds a run).
+(`run_analysis` plus `to_bytes`); stderr ends with one line per seed that
+totals both over all its worlds, so two commits compare at a glance.  The
+ladder is cbit, boxworld, pointer_discrete n=2..6, spinor_su2 n=1..3 and
+bosonic_u1 N=1..3 with one and two modes; `--with-n4` adds bosonic_u1
+N=4 with two modes (several seconds a run).
 
     python3 scripts/report_hashes.py --seeds 1 42 > before.txt
 """
@@ -38,7 +39,9 @@ def main() -> int:
     args = ap.parse_args()
 
     worlds = LADDER + ([("bosonic_u1", {"N": 4, "modes": 2})] if args.with_n4 else [])
+    totals = {}
     for seed in args.seeds:
+        build = analysis = 0.0
         for name, params in worlds:
             t0 = time.perf_counter()
             bundle = build_world(name, dict(params))
@@ -50,6 +53,12 @@ def main() -> int:
                   flush=True)
             print(f"{name} {ptxt} {seed}: build {t1 - t0:.3f} s, "
                   f"analysis {t2 - t1:.3f} s", file=sys.stderr)
+            build += t1 - t0
+            analysis += t2 - t1
+        totals[seed] = build, analysis
+    for seed, (build, analysis) in totals.items():
+        print(f"seed {seed} total over {len(worlds)} worlds: build {build:.3f} s, "
+              f"analysis {analysis:.3f} s", file=sys.stderr)
     return 0
 
 

@@ -356,22 +356,22 @@ def bosonic_parameter_counts(N: int, rank_tol: float = DEFAULT_RANK_TOL) -> dict
     m_ord = 2 * N + 1
     unis = [np.diag(np.exp(-2.0j * np.pi * k * np.arange(d) / m_ord))
             for k in range(m_ord)]
-    unis2 = [np.kron(u, u) for u in unis]
-    prods = [np.kron(x, y) for x in local_gens for y in local_gens]
-    twirled = []
-    for op in prods:
-        acc = np.zeros((d * d, d * d), dtype=complex)
-        for u in unis2:
-            acc += u @ op @ u.conj().T
-        twirled.append(acc / m_ord)
+    gens = np.array(local_gens)
+    prods = (gens[:, None, :, None, :, None] * gens[None, :, None, :, None, :]).reshape(
+        -1, d * d, d * d)  # np.kron of every ordered pair, first factor major
+    acc = np.zeros(prods.shape, dtype=complex)
+    for u in unis:
+        u2 = np.kron(u, u)
+        acc += u2 @ prods @ u2.conj().T
+    twirled = acc / m_ord
 
-    flat = np.array([t.ravel() for t in twirled])
+    flat = twirled.reshape(len(prods), -1)
     stacked = np.hstack([flat.real, flat.imag])
     k_full = numerical_rank(stacked, rank_tol)
 
     occ = (np.arange(d)[:, None] + np.arange(d)[None, :]).ravel()
     keep = occ <= N
-    comp_flat = np.array([t[np.ix_(keep, keep)].ravel() for t in twirled])
+    comp_flat = twirled[:, keep][:, :, keep].reshape(len(prods), -1)
     comp_stacked = np.hstack([comp_flat.real, comp_flat.imag])
     k_restricted = numerical_rank(comp_stacked, rank_tol)
 

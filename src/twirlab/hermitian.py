@@ -11,6 +11,7 @@ as classical and box-like systems.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -58,24 +59,92 @@ def unvectorize(vec: np.ndarray, d: int) -> np.ndarray:
     return unvectorize_dims(vec, (d,))
 
 
+@lru_cache(maxsize=64)
+def _factor_plan(d: int, parts: int):
+    """The sparse pass of one d x d factor, read off hermitian_basis(d).
+
+    Inputs are indexed (part, element): one part for real coordinates,
+    two (real, imaginary) for complex ones.  Outputs are indexed (entry,
+    part), entries row-major.  Every nonzero basis entry is purely real or
+    purely imaginary, so each element nonzero at an entry adds one product
+    to each part there, the nonzero half of the complex product
+    (b' + i b'')(x + i y) = (b' x - b'' y) + i (b' y + b'' x).  Terms keep
+    ascending element order; an output with none (the imaginary diagonal
+    of real input) gets one zero term.
+
+    Outputs are ranked by their number of terms, so that the s-th terms of
+    all outputs that have one form one block.  Returns the source index
+    and coefficient of every term, block after block, the size of each
+    block, and the permutation from ranked outputs back to (entry, part).
+    """
+    basis = hermitian_basis(d).reshape(d * d, d * d)  # [element, entry]
+    terms = [[] for _ in range(2 * d * d)]
+    for a, e in zip(*np.nonzero(basis)):
+        b = basis[a, e]
+        for src, part, c in ((0, 0, b.real), (1, 0, -b.imag), (1, 1, b.real), (0, 1, b.imag)):
+            if c != 0 and src < parts:
+                terms[2 * e + part].append((src * d * d + a, c))
+    for t in terms:
+        if not t:
+            t.append((0, 0.0))
+    ranked = sorted(range(len(terms)), key=lambda j: -len(terms[j]))
+    blocks = [[terms[j][s] for j in ranked if len(terms[j]) > s]
+              for s in range(len(terms[ranked[0]]))]
+    flat = [term for block in blocks for term in block]
+    return (np.array([i for i, _ in flat]), np.array([c for _, c in flat])[:, None],
+            [len(block) for block in blocks], np.argsort(ranked))
+
+
 def unvectorize_dims(vec: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """Rebuild operators on a tensor product of factors.
 
     vec is one coordinate vector, giving one (D, D) operator, or an
     (n, d^2) stack of them, giving an (n, D, D) stack.  The composite
     basis is the Kronecker product of the per-factor bases, indexed with
-    the left factor major, matching np.kron on coordinates.  Each factor
-    costs one einsum over the whole stack, innermost factor first.
+    the left factor major, matching np.kron on coordinates.
+
+    Each factor is one sparse pass over the whole stack, innermost factor
+    first: an entry of a factor takes the product of each basis element
+    nonzero there with its coordinate, summed in ascending element order,
+    one rounding per product and per sum.  That is the sequence a dense
+    einsum over the basis accumulates, so the result equals it bit for
+    bit, zeros included: every zero comes out as +0.0.
     """
     vec = np.asarray(vec, dtype=float)
-    out = np.einsum("na,aij->nij", vec.reshape(-1, dims[-1] ** 2), hermitian_basis(dims[-1]))
-    for d in reversed(dims[:-1]):
-        # sum_a kron(basis[a], tails[:, a]) without materializing each kron
-        dr = out.shape[-1]
-        tails = out.reshape(-1, d * d, dr, dr)
-        out = np.einsum("aik,najl->nijkl", hermitian_basis(d), tails).reshape(
-            -1, d * dr, d * dr)
-    return out.reshape(vec.shape[:-1] + out.shape[-2:])
+    sizes = tuple(d * d for d in dims)
+    length = math.prod(sizes)
+    if vec.ndim == 0 or vec.shape[-1] != length:
+        got = f"length {vec.shape[-1]}" if vec.ndim else "a scalar"
+        raise ValueError(f"dims {tuple(dims)} take coordinate vectors of length "
+                         f"{length}, got {got}")
+    rows = vec.reshape((-1,) + sizes)
+    n, k = rows.shape[0], len(dims)
+    # factor axes innermost first and rows last, so that every gather and
+    # sum runs over long stretches of contiguous memory
+    t = np.ascontiguousarray(rows.transpose(tuple(range(k, 0, -1)) + (0,)))
+    lead, parts = 1, 1
+    for d in reversed(dims):
+        src, coef, blocks, order = _factor_plan(d, parts)
+        terms = t.reshape(lead, parts * d * d, -1).take(src, axis=1)
+        terms *= coef
+        start = blocks[0]
+        for size in blocks[1:]:
+            terms[:, :size] += terms[:, start:start + size]
+            start += size
+        t = terms.take(order, axis=1)
+        lead *= d * d
+        parts = 2
+    # axes (i_k, j_k, ..., i_1, j_1, part, row) become
+    # (row, i_1, ..., i_k, j_1, ..., j_k, part)
+    grid = tuple(x for d in reversed(dims) for x in (d, d)) + (2, n)
+    perm = ((2 * k + 1,) + tuple(range(2 * k - 2, -1, -2)) + tuple(range(2 * k - 1, 0, -2))
+            + (2 * k,))
+    dim = math.prod(dims)
+    out = np.empty((n, dim, dim), dtype=complex)
+    # + 0.0 turns the -0.0 a lone product can leave into the einsum's +0.0
+    np.add(t.reshape(grid).transpose(perm), 0.0,
+           out=out.view(float).reshape((n,) + tuple(dims) * 2 + (2,)))
+    return out.reshape(vec.shape[:-1] + (dim, dim))
 
 
 def vectorize_dims(op: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:

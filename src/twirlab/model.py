@@ -22,8 +22,8 @@ from urllib.parse import parse_qsl
 import numpy as np
 
 from .catalog import WorldBundle, build_world
-from .core import CompositeSpec, SystemSpec, compose_systems
-from .errors import BadOption, BadParam, DimensionError, SchemaError
+from .core import DEFAULT_TOL, CompositeSpec, SystemSpec, compose_systems
+from .errors import BadOption, BadParam, DimensionError, NotAGroup, SchemaError
 from .symmetry import build_finite_action, collective_action
 
 SCHEMA_TAG = "twirlab/1"
@@ -149,7 +149,7 @@ def _parse_system(entry, path: str) -> SystemSpec:
                       effect_generators=effects, unit_effect=unit)
 
 
-def _parse_group(entry, systems: dict, path: str):
+def _parse_group(entry, systems: dict, path: str, tol: float):
     _expect(isinstance(entry, dict), path, "group must be an object")
     kind = entry.get("kind")
     _expect(kind in ("finite", "builtin"), f"{path}.kind",
@@ -181,7 +181,10 @@ def _parse_group(entry, systems: dict, path: str):
             per_system[sid].append(m)
     actions = {}
     for sid in systems:
-        actions[sid] = build_finite_action(labels, per_system[sid])
+        try:
+            actions[sid] = build_finite_action(labels, per_system[sid], tol)
+        except NotAGroup as exc:
+            raise NotAGroup(f"{path}: system {sid!r}: {exc}") from None
     return actions
 
 
@@ -293,7 +296,7 @@ def parse_model(source) -> ModelFile:
                 f"duplicate system id {spec.id!r}")
         systems[spec.id] = spec
 
-    actions = _parse_group(group, systems, "$.group")
+    actions = _parse_group(group, systems, "$.group", opts.get("tol", DEFAULT_TOL))
 
     composites = raw.get("composites", [])
     _expect(isinstance(composites, list), "$.composites", "composites must be a list")

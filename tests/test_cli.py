@@ -256,6 +256,27 @@ def test_out_of_range_file_options_exit_2(capsys, repo_root, tmp_path, key, valu
         assert out == ""
 
 
+def test_model_group_is_checked_at_the_file_tol(capsys, repo_root, tmp_path):
+    model = json.loads((repo_root / "models" / "cbit_bitflip.json").read_text())
+    x = model["group"]["elements"][1]
+    assert x["label"] == "x"
+    x["matrices"]["A"] = [[0, 1 + 1e-7], [1, 0]]
+    path = tmp_path / "perturbed.json"
+
+    model["options"]["tol"] = 1e-6
+    path.write_text(json.dumps(model))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 0 and err == ""
+    assert "[pass] system A" in out
+
+    del model["options"]["tol"]
+    path.write_text(json.dumps(model))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err == ("error: $.group: system 'A': product of 'x' and 'x' "
+                   "is not in the list\n")
+
+
 def test_bad_subcommand_exits_with_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

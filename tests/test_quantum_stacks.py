@@ -1,13 +1,20 @@
 """Quantum rows rebuilt, eigensolved and sector-checked as stacks.
 
 The library turns a whole stack of coordinate vectors into operators with
-one einsum per tensor factor and eigensolves the stack with one call; the
-per-row recursion and formulas it replaced live on in oracles.py, and the
-stacked results must equal them bit for bit.
+one sparse pass per tensor factor, which forms the products and sums a
+dense einsum over the basis would, in the same order, and eigensolves the
+stack with one call.  The per-row einsum recursion and formulas it
+replaced live on in oracles.py, and the stacked results must equal them
+bit for bit, down to the sign of every zero.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from twirlab import hermitian, pipeline
@@ -39,7 +46,13 @@ def _per_row(vec, dims):
     """The per-row oracle looped over the rows of a stack."""
     vec = np.asarray(vec, dtype=float)
     ops = np.array([oracles.unvectorize_dims(r, dims) for r in vec.reshape(-1, vec.shape[-1])])
-    return ops.reshape(vec.shape[:-1] + ops.shape[-2:])
+    return ops.reshape(vec.shape[:-1] + 2 * (math.prod(dims),))
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
 
 
 @pytest.mark.parametrize("name, params", QUANTUM, ids=lambda x: str(x))
@@ -53,6 +66,41 @@ def test_stacked_rows_equal_the_per_row_oracle(name, params):
                                   [oracles.min_eigenvalue(r, dims) for r in rows])
             assert np.array_equal(hermitian.operator_interval_residual(rows, dims),
                                   [oracles.operator_interval_residual(r, dims) for r in rows])
+
+
+# ordinary, tiny (subnormal included), huge and signed-zero coordinates
+COORDINATES = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300]))
+
+
+@st.composite
+def coordinate_stacks(draw):
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)
+                      .filter(lambda ds: math.prod(ds) <= 36)))
+    rows = draw(st.sampled_from([0, 1, 2, 9]))
+    length = math.prod(d * d for d in dims)
+    return dims, draw(hnp.arrays(float, (rows, length), elements=COORDINATES))
+
+
+@given(coordinate_stacks())
+@settings(max_examples=60, deadline=None)
+def test_stacks_equal_the_einsum_oracle_bit_for_bit(stack):
+    dims, rows = stack
+    assert _same_bits(hermitian.unvectorize_dims(rows, dims), _per_row(rows, dims))
+
+
+@pytest.mark.parametrize("dims, shape", [((4, 4), (2, 32)), ((2,), (3,)), ((2, 3), (5, 37)),
+                                         ((3,), ())], ids=str)
+def test_wrong_length_is_refused_before_any_work(dims, shape, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a factor pass was started")
+    monkeypatch.setattr(hermitian, "_factor_plan", no_work)
+    want = math.prod(d * d for d in dims)
+    got = f"length {shape[-1]}" if shape else "a scalar"
+    with pytest.raises(ValueError, match=f"length {want}, got {got}$"):
+        hermitian.unvectorize_dims(np.zeros(shape), dims)
 
 
 @pytest.mark.parametrize("dims", [(2,), (3,), (2, 3), (3, 2, 2)])
