@@ -19,6 +19,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from twirlab.analysis import build_twirled_world, verify_local_indistinguishability  # noqa: E402
 from twirlab.catalog import boxworld_witness_pairs, build_world  # noqa: E402
 from twirlab.core import in_state_cone  # noqa: E402
+from twirlab.symmetry import twirl_projector  # noqa: E402
 
 
 def main() -> int:
@@ -28,8 +29,8 @@ def main() -> int:
     args = ap.parse_args()
 
     w = build_world("boxworld_reflection")
-    twa = build_twirled_world(w.parts[0], w.part_actions[0])
-    twb = build_twirled_world(w.parts[1], w.part_actions[1])
+    twa, twb = (build_twirled_world(s, twirl_projector(act))
+                for s, act in zip(w.parts, w.part_actions))
 
     print(f"{'s':>6} {'valid':>6} {'e+(w+)':>7} {'e-(w+)':>7} {'e+(w-)':>7} "
           f"{'e-(w-)':>7} {'product agreement':>18}")

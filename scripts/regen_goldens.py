@@ -2,12 +2,16 @@
 
 The model files under models/ are canonical serializations of the two
 explicit example worlds; the golden reports under tests/golden/ are the
-canonical analysis reports for those files.  Run with --check to verify
-the working tree matches what this script would write (the byte-level
-regression the test suite also enforces).
+canonical analysis reports for those files, and tests/golden/<model>.
+{validate,lemmas,witness}.txt are the standard output of those commands
+on them.  Run with --check to verify the working tree matches what this
+script would write (the byte-level regression the test suite also
+enforces).
 """
 
 import argparse
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -15,8 +19,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from twirlab.catalog import classical_system, gbit_system  # noqa: E402
+from twirlab.cli import main as cli_main  # noqa: E402
 from twirlab.model import SCHEMA_TAG, canonical_bytes, parse_model  # noqa: E402
 from twirlab.pipeline import Options, run_analysis  # noqa: E402
+
+CLI_COMMANDS = ("validate", "lemmas", "witness")
 
 
 def system_entry(spec) -> dict:
@@ -96,23 +103,23 @@ def report_bytes(model: dict) -> bytes:
     return run_analysis(mf.bundle, opt, model_digest=mf.digest).to_bytes()
 
 
+def cli_text(command: str, path: Path) -> bytes:
+    """Standard output of `twirlab <command> <path>`, uncolored."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli_main([command, str(path)])
+    return out.getvalue().encode("ascii")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", action="store_true",
                     help="verify files instead of rewriting them")
     args = ap.parse_args()
 
-    targets = []
-    for name, build in (("cbit_bitflip", cbit_model),
-                        ("boxworld_reflection", boxworld_model)):
-        model = build()
-        targets.append((ROOT / "models" / f"{name}.json",
-                        canonical_bytes(model)))
-        targets.append((ROOT / "tests" / "golden" / f"{name}.report.json",
-                        report_bytes(model)))
-
     stale = []
-    for path, payload in targets:
+
+    def emit(path: Path, payload: bytes) -> None:
         if args.check:
             if not path.exists() or path.read_bytes() != payload:
                 stale.append(path)
@@ -120,6 +127,17 @@ def main() -> int:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(payload)
             print(f"wrote {path.relative_to(ROOT)} ({len(payload)} bytes)")
+
+    golden = ROOT / "tests" / "golden"
+    for name, build in (("cbit_bitflip", cbit_model),
+                        ("boxworld_reflection", boxworld_model)):
+        model = build()
+        model_path = ROOT / "models" / f"{name}.json"
+        emit(model_path, canonical_bytes(model))
+        emit(golden / f"{name}.report.json", report_bytes(model))
+        # the commands read the model file just emitted
+        for command in CLI_COMMANDS:
+            emit(golden / f"{name}.{command}.txt", cli_text(command, model_path))
 
     if args.check:
         if stale:

@@ -39,7 +39,7 @@ from .errors import (
     SolverFailure,
     TrivialAction,
 )
-from .symmetry import GroupAction, TwirlProjector, collective_action, twirl_projector
+from .symmetry import GroupAction, TwirlProjector
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,7 @@ class TwirledWorld:
     """A system restricted to its invariant states and effects."""
 
     base: SystemSpec
-    action: GroupAction
-    projector: TwirlProjector
+    projector: TwirlProjector  # its .action is the averaged action
     world: SystemSpec
     invariant_state_basis: np.ndarray   # (dim, K) orthonormal columns
     invariant_effect_basis: np.ndarray  # (K_eff, dim) orthonormal rows
@@ -58,23 +57,23 @@ class TwirledWorld:
     validation: ValidationReport
 
 
-def build_twirled_world(s: SystemSpec, a: GroupAction, tol: float = DEFAULT_TOL,
+def build_twirled_world(s: SystemSpec, p: TwirlProjector, tol: float = DEFAULT_TOL,
                         rank_tol: float = DEFAULT_RANK_TOL) -> TwirledWorld:
-    """Average every generator of s over the action and repackage.
+    """Average every generator of s with the projector p and repackage.
 
-    Each element must be a physical transformation of s: it preserves the
-    unit effect and maps every state generator back into the state cone.
-    The averaged generator lists are re-validated as a system in their own
-    right; the unit effect is untouched by the average, so complements of
-    averaged effects are averages of complements and closure survives.
+    Each element of p.action must be a physical map of s, checked before p
+    is used: it preserves the unit effect and maps every state generator
+    back into the state cone.  The averaged generator lists are re-validated
+    as a system in their own right; the unit effect is untouched by the
+    average, so complements of averaged effects are averages of complements.
     """
+    a = p.action
     if a.dim != s.dim:
         raise DimensionMismatch(
             f"action dimension {a.dim} does not match system {s.id} ({s.dim})")
 
     _check_physical(s, a, tol)
 
-    p = twirl_projector(a, tol)
     tw_states = p.matrix @ s.state_generators
     tw_effects = s.effect_generators @ p.matrix
 
@@ -90,7 +89,7 @@ def build_twirled_world(s: SystemSpec, a: GroupAction, tol: float = DEFAULT_TOL,
     u, sv, _ = np.linalg.svd(tw_states, full_matrices=False)
     sbasis = u[:, :rank_of_singular_values(sv, rank_tol)]
     ebasis = orthonormal_range(tw_effects.T, rank_tol).T
-    return TwirledWorld(base=s, action=a, projector=p, world=world,
+    return TwirledWorld(base=s, projector=p, world=world,
                         invariant_state_basis=sbasis, invariant_effect_basis=ebasis,
                         state_singular_values=sv, K=sbasis.shape[1],
                         fixed_point_residual=fp, validation=rep)
@@ -185,7 +184,7 @@ def locality_verdict(wa: TwirledWorld, wb: TwirledWorld, wab: TwirledWorld,
     witness = witness_error = None
     if direct_fails:
         try:
-            witness = _build_witness(wab, pairing, sab, tol)
+            witness = _build_witness(wa, wb, wab, pairing, sab, tol)
         except (NotSeparable, SolverFailure) as exc:
             witness_error = str(exc)
     return LocalityVerdict(k_a=ka, k_b=kb, k_ab=kab,
@@ -195,8 +194,8 @@ def locality_verdict(wa: TwirledWorld, wb: TwirledWorld, wab: TwirledWorld,
                            witness=witness, witness_error=witness_error)
 
 
-def _build_witness(wab: TwirledWorld, pairing: np.ndarray, sab: np.ndarray,
-                   tol: float) -> Witness:
+def _build_witness(wa: TwirledWorld, wb: TwirledWorld, wab: TwirledWorld,
+                   pairing: np.ndarray, sab: np.ndarray, tol: float) -> Witness:
     # invisible direction: right singular vector of the pairing with the
     # smallest singular value, lifted back to the joint space
     _, _, vt = np.linalg.svd(pairing)
@@ -216,9 +215,8 @@ def _build_witness(wab: TwirledWorld, pairing: np.ndarray, sab: np.ndarray,
 
     sep = find_separating_invariant_effect(
         s1, s2, wab.base.effect_generators, wab.projector, tol)
-    # discrepancy on products of invariant local effects is filled in by the
-    # caller via verify_local_indistinguishability
-    return Witness(state_1=s1, state_2=s2, product_effect_discrepancy=float("nan"),
+    return Witness(state_1=s1, state_2=s2,
+                   product_effect_discrepancy=verify_local_indistinguishability(s1, s2, wa, wb),
                    separating_effect=sep[0], separating_gap=sep[1],
                    separating_index=sep[2])
 
@@ -286,36 +284,30 @@ class UbiquityWitness:
     separation: float             # sup-norm distance between the two
 
 
-def ubiquity_witnesses(a: GroupAction, seed: np.ndarray, tol: float = DEFAULT_TOL,
-                       b: GroupAction | None = None,
+def ubiquity_witnesses(projectors: tuple[TwirlProjector, TwirlProjector, TwirlProjector],
+                       seed: np.ndarray, tol: float = DEFAULT_TOL,
                        seed_b: np.ndarray | None = None) -> UbiquityWitness:
     """Build the canonical pair of distinct invariant joint states.
 
-    With a seed moved by at least one element, the factor-wise average of
-    seed (x) seed and the collective average of the same product differ:
-    the first carries no correlation, the second remembers that both
-    factors were displaced together.  A second action/seed may be given
-    when the two sides of the split are of different shapes.
+    projectors: the averages over A's action, B's action and their
+    collective action.  With a seed moved by some element of A's action,
+    the factor-wise average of seed (x) seed_b (default: seed) and the
+    collective average of the same product differ: the first carries no
+    correlation, the second remembers that both factors moved together.
     """
+    pa, pb, pj = projectors
     seed = np.asarray(seed, dtype=float).ravel()
-    if b is None:
-        b = a
     if seed_b is None:
         seed_b = seed
     seed_b = np.asarray(seed_b, dtype=float).ravel()
 
     moving = None
-    for lab, m in zip(a.labels, a.elements):
+    for lab, m in zip(pa.action.labels, pa.action.elements):
         if np.max(np.abs(m @ seed - seed)) > tol:
             moving = lab
             break
     if moving is None:
         raise TrivialAction("every element fixes the seed state")
-
-    pa = twirl_projector(a, tol)
-    pb = twirl_projector(b, tol)
-    joint = collective_action([a, b], tol)
-    pj = twirl_projector(joint, tol)
 
     prod = np.kron(pa.matrix @ seed, pb.matrix @ seed_b)
     corr = pj.matrix @ np.kron(seed, seed_b)

@@ -51,15 +51,26 @@ class WorldBundle:
     parts: tuple                   # SystemSpec per part
     part_actions: tuple            # GroupAction per part
     composite: SystemSpec | None = None
-    collective: GroupAction | None = None
     sectors: dict = field(default_factory=dict)   # system id -> SectorOracle
     notes: str = ""
     name: str = ""                 # builtin or model name
     params: dict = field(default_factory=dict)    # builtin parameters
+    extra_counts: Callable[[float], dict] | None = None  # rank_tol -> more counts
+    collective: GroupAction | None = field(init=False, default=None)  # of two parts
+
+    def __post_init__(self):
+        if len(self.part_actions) == 2:
+            self.collective = collective_action(list(self.part_actions))
 
     @property
     def bipartite(self) -> bool:
         return self.composite is not None
+
+    @property
+    def system_actions(self) -> list:
+        """(system, action) of each part, then of the composite."""
+        pairs = list(zip(self.parts, self.part_actions))
+        return pairs + [(self.composite, self.collective)] if self.bipartite else pairs
 
 
 # ---------------------------------------------------------------- classical
@@ -100,7 +111,7 @@ def _dial_pair(n: int, **extras) -> WorldBundle:
     act = cyclic_shift_action(n)
     comp = compose_systems(CompositeSpec(a, b, **extras))
     return WorldBundle(kind="classical", parts=(a, b), part_actions=(act, act),
-                       composite=comp, collective=collective_action([act, act]))
+                       composite=comp)
 
 
 def _cbit_world() -> WorldBundle:
@@ -191,7 +202,6 @@ def _spinor_world(n: int) -> WorldBundle:
     if n == 2:
         qb = qubit_system("B")
         comp = compose_systems(CompositeSpec(qa, qb))
-        coll = collective_action([act1, act1])
         sectors = {
             "A": SectorOracle([np.eye(2)], [True], (2,)),
             "B": SectorOracle([np.eye(2)], [True], (2,)),
@@ -199,7 +209,7 @@ def _spinor_world(n: int) -> WorldBundle:
                                [True, True], (2, 2)),
         }
         return WorldBundle(kind="quantum", parts=(qa, qb), part_actions=(act1, act1),
-                           composite=comp, collective=coll, sectors=sectors)
+                           composite=comp, sectors=sectors)
 
     # n = 3: single spin against a pair of spins
     qb1 = qubit_system("B1")
@@ -207,7 +217,6 @@ def _spinor_world(n: int) -> WorldBundle:
     bpair = compose_systems(CompositeSpec(qb1, qb2, id="B"))
     actb = collective_action([act1, act1])
     comp = compose_systems(CompositeSpec(qa, bpair, id="AB"))
-    coll = collective_action([act1, actb])
     psym = _symmetric_projector_3q()
     sectors = {
         "A": SectorOracle([np.eye(2)], [True], (2,)),
@@ -216,7 +225,7 @@ def _spinor_world(n: int) -> WorldBundle:
         "AB": SectorOracle([psym, np.eye(8) - psym], [True, False], (2, 2, 2)),
     }
     return WorldBundle(kind="quantum", parts=(qa, bpair), part_actions=(act1, actb),
-                       composite=comp, collective=coll, sectors=sectors,
+                       composite=comp, sectors=sectors,
                        notes="bipartition one spin | two spins")
 
 
@@ -310,7 +319,6 @@ def _bosonic_world(N: int, modes: int) -> WorldBundle:
                            sectors=sectors)
     b = fock_mode_system("B", N)
     comp = compose_systems(CompositeSpec(a, b))
-    coll = collective_action([act, act])
     single = number_sector_projectors(N, 1)
     sectors = {
         "A": SectorOracle(single, [True] * (N + 1), (d,)),
@@ -318,8 +326,13 @@ def _bosonic_world(N: int, modes: int) -> WorldBundle:
         "AB": SectorOracle(number_sector_projectors(N, 2),
                            [False] * (2 * N + 1), (d, d)),
     }
+
+    # bosonic_parameter_counts is looked up when the hook runs, not bound here
+    def occupation_sectors(rank_tol: float) -> dict:
+        return {"occupation_sectors": bosonic_parameter_counts(N, rank_tol)}
+
     return WorldBundle(kind="quantum", parts=(a, b), part_actions=(act, act),
-                       composite=comp, collective=coll, sectors=sectors)
+                       composite=comp, sectors=sectors, extra_counts=occupation_sectors)
 
 
 def bosonic_sector_formula(N: int) -> tuple[int, int]:
@@ -432,9 +445,8 @@ def _boxworld_world() -> WorldBundle:
     b = gbit_system("B")
     act = reflection_action()
     comp = compose_systems(CompositeSpec(a, b, extra_state_generators=_PR_STATES))
-    coll = collective_action([act, act])
     return WorldBundle(kind="boxworld", parts=(a, b), part_actions=(act, act),
-                       composite=comp, collective=coll)
+                       composite=comp)
 
 
 @dataclass

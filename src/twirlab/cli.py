@@ -1,10 +1,12 @@
 """Command line front end.
 
 Models are JSON files or builtin references like
-``builtin:pointer_discrete?n=4``.  Subcommands: validate (structural
-checks), lemmas (averaging identities on random probes), analyze (the
-full pipeline), witness (just the separating state pairs), list (the
-builtin catalog).
+``builtin:pointer_discrete?n=4``.  Subcommands, with the pipeline stages
+each runs: validate (structural checks: the validation stage, plus
+steering closure of the base composite), lemmas (averaging identities
+on random probes: the laws stage), analyze (the full pipeline, every
+stage), witness (just the separating state pairs: the twirl, verdict
+and invariant_pair stages), list (the builtin catalog).
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ import argparse
 import os
 import sys
 
+from . import pipeline
 from ._version import __version__
 from .catalog import BUILTINS, build_world
-from .errors import TwirlabError
+from .core import check_steering_closure
+from .errors import InconsistentWorlds, TwirlabError
 from .model import check_option, parse_builtin_ref, parse_model
-from .pipeline import Options, render_text, run_analysis
-from .symmetry import verify_twirl_laws
 
 _GREEN = "\x1b[32m"
 _RED = "\x1b[31m"
@@ -41,16 +43,17 @@ def _paint(text: str, stream=None) -> str:
     return out.replace("[skip]", f"[{_DIM}skip{_RESET}]")
 
 
-def _load(ref: str):
-    """Resolve a model reference to (bundle, file options, digest)."""
-    if ref.startswith("builtin:"):
-        name, params = parse_builtin_ref(ref)
-        return build_world(name, params), {}, None
-    mf = parse_model(ref)
-    return mf.bundle, mf.options, mf.digest
+def _load(args):
+    """Resolve the model reference to (bundle, options, digest); flags
+    override the options the model file sets."""
+    if args.model.startswith("builtin:"):
+        name, params = parse_builtin_ref(args.model)
+        return build_world(name, params), _options(args, {}), None
+    mf = parse_model(args.model)
+    return mf.bundle, _options(args, mf.options), mf.digest
 
 
-def _options(args, file_opts: dict) -> Options:
+def _options(args, file_opts: dict) -> pipeline.Options:
     values = dict(file_opts)
     for key, flag in (("tol", "--tol"), ("rank_tol", "--rank-tol"),
                       ("seed", "--seed"), ("trials", "--trials")):
@@ -58,7 +61,7 @@ def _options(args, file_opts: dict) -> Options:
         if value is not None:
             check_option(key, value, flag)
             values[key] = value
-    return Options(**values)
+    return pipeline.Options(**values)
 
 
 def _cmd_list(args) -> int:
@@ -70,26 +73,21 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from .core import check_steering_closure, validate_system
-
-    bundle, file_opts, _ = _load(args.model)
-    opt = _options(args, file_opts)
+    run = pipeline.start(*_load(args))
+    pipeline.validation(run)
+    bundle = run.bundle
     ok = True
-    for part in bundle.parts:
-        rep = validate_system(part, opt.tol)
+    for sid, rep in run.validation.items():
         ok &= rep.passed
-        print(_paint(f"[{'pass' if rep.passed else 'FAIL'}] system {part.id}: "
+        kind = "composite" if bundle.bipartite and sid == bundle.composite.id else "system"
+        print(_paint(f"[{'pass' if rep.passed else 'FAIL'}] {kind} {sid}: "
                      f"worst residual {rep.worst():.2e}"))
         for c in rep.checks:
             if not c.passed:
                 print(_paint(f"  [FAIL] {c.name}: residual {c.residual:.2e}"
                              + (f" ({c.detail})" if c.detail else "")))
     if bundle.bipartite:
-        rep = validate_system(bundle.composite, opt.tol)
-        ok &= rep.passed
-        print(_paint(f"[{'pass' if rep.passed else 'FAIL'}] composite "
-                     f"{bundle.composite.id}: worst residual {rep.worst():.2e}"))
-        steer = check_steering_closure(bundle.composite, opt.tol)
+        steer = check_steering_closure(bundle.composite, run.options.tol)
         ok &= steer.passed
         print(_paint(f"[{'pass' if steer.passed else 'FAIL'}] steering closure: "
                      f"{steer.n_state_checks} marginal and {steer.n_effect_checks} "
@@ -98,17 +96,16 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
-    bundle, file_opts, _ = _load(args.model)
-    opt = _options(args, file_opts)
-    rep = verify_twirl_laws(list(bundle.part_actions), trials=opt.trials,
-                            seed=opt.seed, tol=opt.tol)
+    run = pipeline.start(*_load(args))
+    pipeline.laws(run)
+    rep, tol = run.laws, run.options.tol
     rows = [("absorption from the left", rep.left_invariance),
             ("absorption from the right", rep.right_invariance),
             ("idempotence", rep.idempotence)]
     rows += sorted(rep.consistency.items())
     ok = True
     for name, res in rows:
-        good = res <= opt.tol
+        good = res <= tol
         ok &= good
         print(_paint(f"[{'pass' if good else 'FAIL'}] {name.replace('_', ' ')}: "
                      f"max residual {res:.2e} over {rep.trials} probes"))
@@ -116,9 +113,7 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    bundle, file_opts, digest = _load(args.model)
-    opt = _options(args, file_opts)
-    report = run_analysis(bundle, opt, model_digest=digest)
+    report = pipeline.run_analysis(*_load(args))
     payload = report.to_bytes()
     if args.report:
         with open(args.report, "wb") as fh:
@@ -127,19 +122,17 @@ def _cmd_analyze(args) -> int:
     if args.format == "json":
         sys.stdout.write(payload.decode("ascii"))
     else:
-        print(_paint(render_text(report.data)))
+        print(_paint(pipeline.render_text(report.data)))
     return 0
 
 
 def _cmd_witness(args) -> int:
-    bundle, file_opts, digest = _load(args.model)
-    if not bundle.bipartite:
-        print("witness construction needs a bipartite world", file=sys.stderr)
-        return 2
-    opt = _options(args, file_opts)
-    report = run_analysis(bundle, opt, model_digest=digest)
-    data = report.data
-    loc = data.get("locality", {})
+    run = pipeline.start(*_load(args))
+    if not run.bundle.bipartite:
+        raise InconsistentWorlds("witness construction needs a bipartite world")
+    for stage in (pipeline.twirl, pipeline.verdict, pipeline.invariant_pair):
+        stage(run)
+    loc = run.data.get("locality", {})
     w = loc.get("witness")
     if w:
         print("locality witness: invariant joint states with identical product "
@@ -154,7 +147,7 @@ def _cmd_witness(args) -> int:
         print(f"no locality witness: {loc['witness_error']}")
     else:
         print("no locality witness: the twirled world is locally tomographic")
-    ub = data.get("ubiquity", {})
+    ub = run.data.get("ubiquity", {})
     if ub and not ub.get("trivial_action"):
         print("correlated/product invariant pair:")
         print(f"  product state:    {ub['product_state']}")
@@ -174,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "and locality analysis")
     ap.add_argument("--version", action="version", version=f"twirlab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-    defaults = Options()
+    defaults = pipeline.Options()
 
     def add_model(p):
         p.add_argument("model", help="model file path or builtin:name?k=v")

@@ -24,7 +24,7 @@ import numpy as np
 from .catalog import WorldBundle, build_world
 from .core import DEFAULT_TOL, CompositeSpec, SystemSpec, compose_systems
 from .errors import BadOption, BadParam, DimensionError, NotAGroup, SchemaError
-from .symmetry import build_finite_action, collective_action
+from .symmetry import build_finite_action
 
 SCHEMA_TAG = "twirlab/1"
 
@@ -303,10 +303,8 @@ def parse_model(source) -> ModelFile:
     _expect(len(composites) <= 1, "$.composites", "at most one composite is supported")
 
     sys_list = list(systems.values())
-    act_list = [actions[s.id] for s in sys_list]
 
     composite = None
-    collective = None
     if composites:
         entry = composites[0]
         cpath = "$.composites[0]"
@@ -331,13 +329,11 @@ def parse_model(source) -> ModelFile:
         cid = entry.get("id") or (pa.id + pb.id)
         composite = compose_systems(CompositeSpec(
             pa, pb, id=cid, extra_state_generators=es, extra_effect_generators=ee))
-        collective = collective_action([actions[parts[0]], actions[parts[1]]])
         sys_list = [pa, pb]
-        act_list = [actions[parts[0]], actions[parts[1]]]
 
     bundle = WorldBundle(kind="explicit", parts=tuple(sys_list),
-                         part_actions=tuple(act_list), composite=composite,
-                         collective=collective, name=name)
+                         part_actions=tuple(actions[s.id] for s in sys_list),
+                         composite=composite, name=name)
     return ModelFile(name=name, bundle=bundle, options=opts,
                      raw=raw, digest=digest(raw))
 

@@ -1,17 +1,17 @@
-"""End-to-end analysis of a symmetric world.
+"""End-to-end analysis of a symmetric world, in named stages.
 
-run_analysis drives the whole sequence on a WorldBundle: validate the
-systems, exercise the averaging laws, build the twirled worlds, count
-invariant parameters, decide the locality question by both routes, build
-the witness pairs, and check completeness, steering closure and (for
-quantum worlds with a known sector structure) the block form of the
-invariants.  The result is a plain-dict report with a canonical byte
-serialization, identical across repeated runs.
+start() opens a run (an AnalysisReport) and each stage in STAGES fills in
+its section: system validation, averaging laws, twirled worlds, locality
+verdict and witness, invariant pair, steering closure and, for quantum
+worlds with a known sector structure, the block form of the invariants.
+verdict, invariant_pair and steering skip a one-part world.  run_analysis
+runs every stage and averages each action once.  The report is a plain
+dict with a canonical byte serialization, identical across repeated runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .analysis import (
     TwirledWorld,
     build_twirled_world,
     check_tomographic_completeness,
-    count_parameters,
     find_separating_invariant_effect,
     locality_verdict,
     rank_stability,
@@ -30,7 +29,7 @@ from .analysis import (
     ubiquity_witnesses,
     verify_local_indistinguishability,
 )
-from .catalog import WorldBundle, bosonic_parameter_counts
+from .catalog import WorldBundle
 from .core import (
     _BLOCK_FLOATS,
     DEFAULT_RANK_TOL,
@@ -43,7 +42,7 @@ from .core import (
 from .errors import NotSeparable, TrivialAction
 from .hermitian import unvectorize_dims
 from .model import canonical_bytes, check_option
-from .symmetry import LawReport, verify_twirl_laws
+from .symmetry import GroupAction, LawReport, TwirlProjector, twirl_projector, verify_twirl_laws
 
 REPORT_SCHEMA = "twirlab-report/1"
 
@@ -66,11 +65,28 @@ class Options:
 
 @dataclass
 class AnalysisReport:
+    """One run over a world: the report dict and the objects behind it."""
+
     data: dict
     bundle: WorldBundle
+    options: Options = field(default_factory=Options)
+    validation: dict = field(default_factory=dict)  # system id -> base ValidationReport
     twirled: dict = field(default_factory=dict)  # system id -> TwirledWorld
     laws: LawReport | None = None
     verdict: LocalityVerdict | None = None
+    _projectors: dict = field(default_factory=dict, init=False, repr=False)
+
+    def projector(self, action: GroupAction) -> TwirlProjector:
+        """The average over action, formed on first use in this run (keyed by
+        id(action); the projector's .action keeps that id taken)."""
+        p = self._projectors.get(id(action))
+        if p is None:
+            p = self._projectors[id(action)] = twirl_projector(action, self.options.tol)
+        return p
+
+    def split(self) -> list[TwirledWorld]:
+        """Twirled worlds of part A, part B and the composite."""
+        return [self.twirled[s.id] for s, _ in self.bundle.system_actions]
 
     def to_bytes(self) -> bytes:
         return canonical_bytes(self.data)
@@ -116,21 +132,6 @@ def _first_moved_state(s: SystemSpec, action, tol: float):
     return None, -1
 
 
-def _twirled_composite_view(twab: TwirledWorld, twa: TwirledWorld,
-                            twb: TwirledWorld) -> SystemSpec:
-    """The twirled composite with the twirled locals as its parts.
-
-    Steered marginals of invariant joint states must be (subnormalized)
-    invariant local states, so steering closure of the twirled world is
-    judged against the twirled local systems, not the base ones.
-    """
-    w = twab.world
-    return SystemSpec(id=w.id, dim=w.dim, state_generators=w.state_generators,
-                      effect_generators=w.effect_generators,
-                      unit_effect=w.unit_effect, hilbert_dims=w.hilbert_dims,
-                      parts=(twa.world, twb.world))
-
-
 def _sector_residuals(bundle: WorldBundle, twirled: dict) -> dict:
     out = {}
     for sid, oracle in bundle.sectors.items():
@@ -149,12 +150,13 @@ def _sector_residuals(bundle: WorldBundle, twirled: dict) -> dict:
     return out
 
 
-def run_analysis(bundle: WorldBundle, options: Options | None = None,
-                 model_digest: str | None = None) -> AnalysisReport:
-    """Full verification and analysis pass over one world."""
-    opt = options or Options()
-    tol, rank_tol = opt.tol, opt.rank_tol
+# ------------------------------------------------------------------- stages
 
+
+def start(bundle: WorldBundle, options: Options | None = None,
+          model_digest: str | None = None) -> AnalysisReport:
+    """A run over bundle whose report holds only its header."""
+    opt = options or Options()
     data = {
         "schema": REPORT_SCHEMA,
         "tool_version": __version__,
@@ -166,39 +168,39 @@ def run_analysis(bundle: WorldBundle, options: Options | None = None,
         data["model"]["digest"] = model_digest
     if bundle.notes:
         data["model"]["notes"] = bundle.notes
+    return AnalysisReport(data=data, bundle=bundle, options=opt)
 
-    # 1. base systems are valid worlds
+
+def validation(run: AnalysisReport) -> None:
+    """The parts, then the composite, are valid worlds."""
     systems = {}
-    for part in bundle.parts:
-        systems[part.id] = {
-            "dim": part.dim, "n_states": part.n_states, "n_effects": part.n_effects,
-            "validation": _validation_dict(validate_system(part, tol)),
+    for s, _ in run.bundle.system_actions:
+        rep = run.validation[s.id] = validate_system(s, run.options.tol)
+        systems[s.id] = {
+            "dim": s.dim, "n_states": s.n_states, "n_effects": s.n_effects,
+            "validation": _validation_dict(rep),
         }
-    if bundle.bipartite:
-        comp = bundle.composite
-        systems[comp.id] = {
-            "dim": comp.dim, "n_states": comp.n_states, "n_effects": comp.n_effects,
-            "validation": _validation_dict(validate_system(comp, tol)),
-        }
-    data["systems"] = systems
+    run.data["systems"] = systems
 
-    # 2. the averaging identities hold on random probes
-    laws = verify_twirl_laws(list(bundle.part_actions), trials=opt.trials,
-                             seed=opt.seed, tol=tol)
-    data["twirl_laws"] = _laws_dict(laws)
 
-    # 3. twirled worlds
-    twirled = {}
-    for part, action in zip(bundle.parts, bundle.part_actions):
-        twirled[part.id] = build_twirled_world(part, action, tol, rank_tol)
-    if bundle.bipartite:
-        twirled[bundle.composite.id] = build_twirled_world(
-            bundle.composite, bundle.collective, tol, rank_tol)
+def laws(run: AnalysisReport) -> None:
+    """The averaging identities hold on random probes."""
+    b, opt = run.bundle, run.options
+    actions = list(b.part_actions) + ([b.collective] if b.collective is not None else [])
+    run.laws = verify_twirl_laws([run.projector(a) for a in actions],
+                                 trials=opt.trials, seed=opt.seed)
+    run.data["twirl_laws"] = _laws_dict(run.laws)
 
-    tw_section = {}
-    for sid, tw in twirled.items():
-        comp_rep = check_tomographic_completeness(tw, rank_tol)
-        tw_section[sid] = {
+
+def twirl(run: AnalysisReport) -> None:
+    """Each system averaged over its action, with its invariant tomography checked."""
+    opt = run.options
+    section = {}
+    for s, action in run.bundle.system_actions:
+        tw = run.twirled[s.id] = build_twirled_world(
+            s, run.projector(action), opt.tol, opt.rank_tol)
+        comp_rep = check_tomographic_completeness(tw, opt.rank_tol)
+        section[s.id] = {
             "K": tw.K,
             "fixed_point_residual": float(tw.fixed_point_residual),
             "rank_stable": rank_stability(tw),
@@ -208,41 +210,32 @@ def run_analysis(bundle: WorldBundle, options: Options | None = None,
                 "pairing_rank": comp_rep.pairing_rank, "passed": comp_rep.passed,
             },
         }
-    data["twirled"] = tw_section
+    run.data["twirled"] = section
 
-    report = AnalysisReport(data=data, bundle=bundle, twirled=twirled, laws=laws)
 
-    if not bundle.bipartite:
-        sec = _sector_residuals(bundle, twirled)
-        if sec:
-            data["sector_blocks"] = sec
-        return report
-
-    part_a, part_b = bundle.parts
-    twa, twb = twirled[part_a.id], twirled[part_b.id]
-    twab = twirled[bundle.composite.id]
-
-    # 4. parameter counting and the locality verdict, both routes
-    verdict = locality_verdict(twa, twb, twab, tol, rank_tol)
-    if verdict.witness is not None:
-        verdict.witness.product_effect_discrepancy = verify_local_indistinguishability(
-            verdict.witness.state_1, verdict.witness.state_2, twa, twb)
+def verdict(run: AnalysisReport) -> None:
+    """Parameter counts and the locality verdict by both routes."""
+    if not run.bundle.bipartite:
+        return
+    opt = run.options
+    twa, twb, twab = run.split()
+    v = run.verdict = locality_verdict(twa, twb, twab, opt.tol, opt.rank_tol)
     counts = {
-        "K_A": verdict.k_a, "K_B": verdict.k_b, "K_AB": verdict.k_ab,
-        "K_A_times_K_B": verdict.k_a * verdict.k_b,
+        "K_A": v.k_a, "K_B": v.k_b, "K_AB": v.k_ab,
+        "K_A_times_K_B": v.k_a * v.k_b,
     }
-    if bundle.name == "bosonic_u1" and bundle.params.get("modes") == 2:
-        counts["occupation_sectors"] = bosonic_parameter_counts(bundle.params["N"], rank_tol)
-    data["counts"] = counts
+    if run.bundle.extra_counts is not None:
+        counts.update(run.bundle.extra_counts(opt.rank_tol))
+    run.data["counts"] = counts
 
     loc = {
-        "criterion_fails_locality": verdict.criterion_fails_locality,
-        "pairing_rank": verdict.pairing_rank,
-        "direct_check_fails": verdict.direct_check_fails,
-        "methods_agree": verdict.methods_agree,
+        "criterion_fails_locality": v.criterion_fails_locality,
+        "pairing_rank": v.pairing_rank,
+        "direct_check_fails": v.direct_check_fails,
+        "methods_agree": v.methods_agree,
     }
-    if verdict.witness is not None:
-        w = verdict.witness
+    if v.witness is not None:
+        w = v.witness
         loc["witness"] = {
             "state_1": w.state_1.tolist(),
             "state_2": w.state_2.tolist(),
@@ -251,40 +244,64 @@ def run_analysis(bundle: WorldBundle, options: Options | None = None,
             "separating_index": w.separating_index,
             "separating_effect": w.separating_effect.tolist(),
         }
-    if verdict.witness_error is not None:
-        loc["witness_error"] = verdict.witness_error
-    data["locality"] = loc
-    report.verdict = verdict
+    if v.witness_error is not None:
+        loc["witness_error"] = v.witness_error
+    run.data["locality"] = loc
 
-    # 5. the two canonical invariant states that share local statistics
-    data["ubiquity"] = _ubiquity_section(bundle, twa, twb, twab, tol)
 
-    # 6. steering closure of the twirled composite
-    view = _twirled_composite_view(twab, twa, twb)
+def invariant_pair(run: AnalysisReport) -> None:
+    """The two canonical invariant states that share local statistics."""
+    if run.bundle.bipartite:
+        run.data["ubiquity"] = _ubiquity_section(run)
+
+
+def steering(run: AnalysisReport) -> None:
+    """Steering closure of the twirled composite, judged with the twirled
+    locals as its parts: steered marginals of invariant joint states must
+    be (subnormalized) invariant local states."""
+    if not run.bundle.bipartite:
+        return
+    twa, twb, twab = run.split()
+    view = replace(twab.world, parts=(twa.world, twb.world))
     projs = None
     if view.hilbert_dims is not None:
         projs = (twa.projector.matrix, twb.projector.matrix)
-    data["steering"] = {"twirled": _steering_dict(
-        check_steering_closure(view, tol, invariance_projectors=projs))}
+    run.data["steering"] = {"twirled": _steering_dict(
+        check_steering_closure(view, run.options.tol, invariance_projectors=projs))}
 
-    # 7. known sector structure, when the recipe ships one
-    sec = _sector_residuals(bundle, twirled)
+
+def sectors(run: AnalysisReport) -> None:
+    """Known sector structure, when the recipe ships one."""
+    sec = _sector_residuals(run.bundle, run.twirled)
     if sec:
-        data["sector_blocks"] = sec
-    return report
+        run.data["sector_blocks"] = sec
 
 
-def _ubiquity_section(bundle: WorldBundle, twa: TwirledWorld, twb: TwirledWorld,
-                      twab: TwirledWorld, tol: float) -> dict:
-    part_a, part_b = bundle.parts
-    act_a, act_b = bundle.part_actions
+STAGES = (validation, laws, twirl, verdict, invariant_pair, steering, sectors)
+
+
+def run_analysis(bundle: WorldBundle, options: Options | None = None,
+                 model_digest: str | None = None) -> AnalysisReport:
+    """Full verification and analysis pass over one world: every stage in order."""
+    run = start(bundle, options, model_digest)
+    for stage in STAGES:
+        stage(run)
+    return run
+
+
+def _ubiquity_section(run: AnalysisReport) -> dict:
+    tol = run.options.tol
+    part_a, part_b = run.bundle.parts
+    act_a, act_b = run.bundle.part_actions
     seed_a, idx_a = _first_moved_state(part_a, act_a, tol)
     seed_b, idx_b = _first_moved_state(part_b, act_b, tol)
     if seed_a is None or seed_b is None:
         return {"trivial_action": True}
 
+    twa, twb, twab = run.split()
     try:
-        uw = ubiquity_witnesses(act_a, seed_a, tol, b=act_b, seed_b=seed_b)
+        uw = ubiquity_witnesses((twa.projector, twb.projector, twab.projector),
+                                seed_a, tol, seed_b=seed_b)
     except TrivialAction:
         return {"trivial_action": True}
 

@@ -158,7 +158,7 @@ def build_finite_action(labels, matrices, tol: float = DEFAULT_TOL,
                        certification=certification or Certification())
 
 
-def collective_action(parts: list[GroupAction], tol: float = DEFAULT_TOL) -> GroupAction:
+def collective_action(parts: list[GroupAction]) -> GroupAction:
     """Same group acting on a tensor product, element by element.
 
     Element g of the collective action is the Kronecker product of the
@@ -272,58 +272,45 @@ class LawReport:
         return max(vals)
 
 
-def verify_twirl_laws(parts: list[GroupAction], trials: int = 200,
-                      seed: int = 42, tol: float = DEFAULT_TOL) -> LawReport:
+def verify_twirl_laws(projectors: list[TwirlProjector], trials: int = 200,
+                      seed: int = 42) -> LawReport:
     """Exercise the averaging identities on random vectors.
 
-    Single part: absorption from both sides and idempotence.  Two parts:
-    additionally the identities tying the local averages G1 (x) G2 to the
-    collective average G over the joint action, evaluated pointwise:
+    projectors: the average G of one action, or the averages G1, G2 of two
+    actions and then the average G of their collective action.  G must
+    absorb its elements from both sides and be idempotent.  Two parts add
+    the identities tying G1 (x) G2 to G, evaluated pointwise:
 
       (G1 (x) G2) G = G1 (x) G2 = G (G1 (x) G2)
       (1 (x) G2) G = G (1 (x) G2)   and the mirror image
       G2 G(partial) variants reduced to the joint space.
     """
     rng = np.random.default_rng(seed)
-    if not parts:
+    if not projectors:
         raise LabelMismatch("need at least one action")
-
-    if len(parts) == 1:
-        a = parts[0]
-        p = twirl_projector(a, tol).matrix
-        li = ri = idem = 0.0
-        x = rng.standard_normal((a.dim, trials))
-        px = p @ x
-        idem = float(np.max(np.abs(p @ px - px)))
-        for m in a.elements:
-            li = max(li, float(np.max(np.abs(p @ (m @ x) - px))))
-            ri = max(ri, float(np.max(np.abs(m @ px - px))))
-        return LawReport(trials, li, ri, idem, {})
-
-    if len(parts) != 2:
+    if len(projectors) not in (1, 3):
         raise UnsupportedSize("law suite covers one or two parts")
 
-    a1, a2 = parts
-    joint = collective_action([a1, a2], tol)
-    p1 = twirl_projector(a1, tol).matrix
-    p2 = twirl_projector(a2, tol).matrix
-    pj = twirl_projector(joint, tol).matrix
-    p12 = np.kron(p1, p2)
-    i1 = np.eye(a1.dim)
-    i2 = np.eye(a2.dim)
-    one_p2 = np.kron(i1, p2)
-    p1_one = np.kron(p1, i2)
-
-    d = joint.dim
-    x = rng.standard_normal((d, trials))
+    *local, joint = projectors
+    pj = joint.matrix
+    x = rng.standard_normal((joint.dim, trials))
     px = pj @ x
-    p12x = p12 @ x
 
     li = ri = 0.0
-    for m in joint.elements:
+    for m in joint.action.elements:
         li = max(li, float(np.max(np.abs(pj @ (m @ x) - px))))
         ri = max(ri, float(np.max(np.abs(m @ px - px))))
     idem = float(np.max(np.abs(pj @ px - px)))
+    if not local:
+        return LawReport(trials, li, ri, idem, {})
+
+    pa, pb = local
+    if joint.dim != pa.dim * pb.dim:
+        raise DimensionMismatch("the collective average must act on the joint space")
+    p12 = np.kron(pa.matrix, pb.matrix)
+    one_p2 = np.kron(np.eye(pa.dim), pb.matrix)
+    p1_one = np.kron(pa.matrix, np.eye(pb.dim))
+    p12x = p12 @ x
 
     def gap(y):
         return float(np.max(np.abs(y - p12x)))

@@ -20,6 +20,7 @@ from twirlab.catalog import (
 from twirlab.cli import main
 from twirlab.model import parse_model
 from twirlab.pipeline import Options, run_analysis
+from twirlab.symmetry import twirl_projector
 
 
 def _ok(n: int, label: str):
@@ -70,9 +71,8 @@ def test_criterion_3_boxworld_reproduction(repo_root, capsys):
     assert np.array_equal(mf.bundle.composite.state_generators,
                           reference.composite.state_generators)
 
-    twa = build_twirled_world(mf.bundle.parts[0], mf.bundle.part_actions[0])
-    twb = build_twirled_world(mf.bundle.parts[1], mf.bundle.part_actions[1])
-    twab = build_twirled_world(mf.bundle.composite, mf.bundle.collective)
+    twa, twb, twab = (build_twirled_world(s, twirl_projector(act))
+                      for s, act in mf.bundle.system_actions)
 
     from twirlab.analysis import verify_local_indistinguishability
 

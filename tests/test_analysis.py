@@ -25,7 +25,13 @@ from twirlab.errors import (
     SolverFailure,
     TrivialAction,
 )
-from twirlab.symmetry import GroupAction, build_finite_action, collective_action
+from twirlab.symmetry import (
+    GroupAction,
+    TwirlProjector,
+    build_finite_action,
+    collective_action,
+    twirl_projector,
+)
 
 
 def flip_action():
@@ -38,6 +44,19 @@ def idle_action():
     return build_finite_action(["e", "x"], [np.eye(2), np.eye(2)])
 
 
+def pair_projectors(act):
+    """Averages over act on each of two sides and on both at once."""
+    p = twirl_projector(act)
+    return p, p, twirl_projector(collective_action([act, act]))
+
+
+def unchecked_projector(bad: GroupAction) -> TwirlProjector:
+    """Average over an element list that is not a group, built without the
+    projector checks, so that only the physicality check can reject it."""
+    return TwirlProjector(matrix=bad.elements.mean(axis=0), action=bad,
+                          idempotence_residual=0.0, commutation_residual=0.0)
+
+
 @pytest.fixture(scope="module")
 def cbit():
     return build_world("cbit_bitflip", {})
@@ -45,9 +64,9 @@ def cbit():
 
 @pytest.fixture(scope="module")
 def cbit_twirled(cbit):
-    twa = build_twirled_world(cbit.parts[0], cbit.part_actions[0])
-    twb = build_twirled_world(cbit.parts[1], cbit.part_actions[1])
-    twab = build_twirled_world(cbit.composite, cbit.collective)
+    twa = build_twirled_world(cbit.parts[0], twirl_projector(cbit.part_actions[0]))
+    twb = build_twirled_world(cbit.parts[1], twirl_projector(cbit.part_actions[1]))
+    twab = build_twirled_world(cbit.composite, twirl_projector(cbit.collective))
     return twa, twb, twab
 
 
@@ -78,7 +97,7 @@ def test_unit_moving_element_rejected():
     bad = GroupAction(labels=("e", "g"),
                       elements=np.stack([np.eye(2), np.diag([1.0, 2.0])]))
     with pytest.raises(ActionNotPhysical, match="unit effect"):
-        build_twirled_world(s, bad)
+        build_twirled_world(s, unchecked_projector(bad))
 
 
 def test_state_escaping_element_rejected():
@@ -88,7 +107,7 @@ def test_state_escaping_element_rejected():
     m = np.array([[1.5, -0.5], [-0.5, 1.5]])
     bad = GroupAction(labels=("e", "g"), elements=np.stack([np.eye(2), m]))
     with pytest.raises(ActionNotPhysical, match="outside the state"):
-        build_twirled_world(s, bad)
+        build_twirled_world(s, unchecked_projector(bad))
 
 
 def test_state_escaping_element_names_the_generator():
@@ -97,13 +116,13 @@ def test_state_escaping_element_names_the_generator():
     m = np.array([[1.0, 1.2, 0.0], [0.0, -0.2, 0.0], [0.0, 0.0, 1.0]])
     bad = GroupAction(labels=("e", "g"), elements=np.stack([np.eye(3), m]))
     with pytest.raises(ActionNotPhysical, match="element 'g' maps state generator 1 "):
-        build_twirled_world(s, bad)
+        build_twirled_world(s, unchecked_projector(bad))
 
 
 def test_action_dimension_guard():
     s = classical_system("A", 2)
     with pytest.raises(DimensionMismatch):
-        build_twirled_world(s, build_finite_action(["e"], [np.eye(3)]))
+        build_twirled_world(s, twirl_projector(build_finite_action(["e"], [np.eye(3)])))
 
 
 def test_completeness_of_twirled_bit(cbit_twirled):
@@ -147,9 +166,9 @@ def test_one_sided_symmetry_is_locally_tomographic():
     b = classical_system("B", 2)
     comp = compose_systems(CompositeSpec(part_a=a, part_b=b))
     act_a, act_b = flip_action(), idle_action()
-    twa = build_twirled_world(a, act_a)
-    twb = build_twirled_world(b, act_b)
-    twab = build_twirled_world(comp, collective_action([act_a, act_b]))
+    twa = build_twirled_world(a, twirl_projector(act_a))
+    twb = build_twirled_world(b, twirl_projector(act_b))
+    twab = build_twirled_world(comp, twirl_projector(collective_action([act_a, act_b])))
     v = locality_verdict(twa, twb, twab)
     assert (v.k_a, v.k_b, v.k_ab) == (1, 2, 2)
     assert not v.criterion_fails_locality
@@ -190,9 +209,8 @@ def test_locality_verdict_dimension_guard(cbit_twirled):
 
 
 def test_ubiquity_pair_on_the_bit():
-    act = flip_action()
     seed = np.array([1.0, 0.0])
-    uw = ubiquity_witnesses(act, seed)
+    uw = ubiquity_witnesses(pair_projectors(flip_action()), seed)
     assert uw.moving_label == "x"
     assert np.allclose(uw.product_state, np.full(4, 0.25))
     assert np.allclose(uw.correlated_state, [0.5, 0.0, 0.0, 0.5])
@@ -201,12 +219,13 @@ def test_ubiquity_pair_on_the_bit():
 
 def test_ubiquity_needs_a_moved_seed():
     with pytest.raises(TrivialAction):
-        ubiquity_witnesses(flip_action(), np.array([0.5, 0.5]))
+        ubiquity_witnesses(pair_projectors(flip_action()), np.array([0.5, 0.5]))
 
 
 def test_ubiquity_pair_is_locally_indistinguishable(cbit_twirled):
     twa, twb, twab = cbit_twirled
-    uw = ubiquity_witnesses(twa.action, np.array([1.0, 0.0]))
+    uw = ubiquity_witnesses((twa.projector, twb.projector, twab.projector),
+                            np.array([1.0, 0.0]))
     assert verify_local_indistinguishability(
         uw.correlated_state, uw.product_state, twa, twb) <= 1e-12
     eff, gap, idx = find_separating_invariant_effect(
@@ -226,8 +245,9 @@ def test_no_separator_for_equal_states(cbit_twirled):
 
 
 def test_transformation_pair_on_the_bit(cbit_twirled):
+    uw = ubiquity_witnesses(tuple(tw.projector for tw in cbit_twirled),
+                            np.array([1.0, 0.0]))
     twa, twb, _ = cbit_twirled
-    uw = ubiquity_witnesses(twa.action, np.array([1.0, 0.0]))
     tp = transformation_pair_witness(twa, twb, uw.correlated_state, uw.product_state)
     assert tp.local_residual <= 1e-12
     assert abs(tp.global_gap - 0.25) <= 1e-12

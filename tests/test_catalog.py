@@ -55,7 +55,7 @@ def test_cbit_composite_carries_parity_rows():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_pointer_invariant_count_is_the_orbit_count(n):
     w = build_world("pointer_discrete", {"n": n})
-    tw = build_twirled_world(w.composite, w.collective)
+    tw = build_twirled_world(w.composite, twirl_projector(w.collective))
     assert count_parameters(tw) == n == oracles.cyclic_orbit_count(n)
 
 
@@ -88,9 +88,8 @@ def test_spinor_guard_and_split():
 
 def test_three_spin_split_counts_and_verdict():
     w = build_world("spinor_su2", {"n": 3})
-    twa = build_twirled_world(w.parts[0], w.part_actions[0])
-    twb = build_twirled_world(w.parts[1], w.part_actions[1])
-    twab = build_twirled_world(w.composite, w.collective)
+    twa, twb, twab = (build_twirled_world(s, twirl_projector(act))
+                      for s, act in w.system_actions)
     v = locality_verdict(twa, twb, twab)
     assert (v.k_a, v.k_b, v.k_ab) == (1, 2, 5)
     assert v.criterion_fails_locality and v.methods_agree
@@ -228,7 +227,7 @@ def test_boxworld_exact_invariant_ranks():
     joint = oracles.brute_force_invariant_rank(
         w.composite.state_generators, w.collective.elements)
     assert local == 2 and joint == 5
-    twab = build_twirled_world(w.composite, w.collective)
+    twab = build_twirled_world(w.composite, twirl_projector(w.collective))
     assert count_parameters(twab) == joint
 
 

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from twirlab import pipeline
 from twirlab.cli import _paint, _use_color, main
 
 
@@ -142,9 +143,56 @@ def test_analyze_reports_a_missing_witness(capsys, tmp_path):
 
 
 def test_witness_needs_two_parts(capsys):
-    code, _, err = run_cli(capsys, "witness", "builtin:spinor_su2?n=1")
-    assert code == 2
-    assert "bipartite" in err
+    code, out, err = run_cli(capsys, "witness", "builtin:spinor_su2?n=1")
+    assert code == 2 and out == ""
+    assert err == "error: witness construction needs a bipartite world\n"
+    # flags are checked before the world's shape
+    code, out, err = run_cli(capsys, "witness", "builtin:spinor_su2?n=1", "--tol", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --tol: must be")
+
+
+def test_witness_runs_only_the_stages_it_prints(capsys, monkeypatch, repo_root):
+    refs = ["builtin:bosonic_u1", "builtin:spinor_su2",
+            str(repo_root / "models" / "boxworld_reflection.json")]
+    want = [run_cli(capsys, "witness", ref) for ref in refs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("witness ran a stage whose output it does not print")
+
+    for name in ("check_steering_closure", "_sector_residuals", "verify_twirl_laws",
+                 "validate_system"):
+        monkeypatch.setattr(pipeline, name, refuse)
+    assert [run_cli(capsys, "witness", ref) for ref in refs] == want
+    assert all(code == 0 and "locality witness" in out for code, out, _ in want)
+
+
+@pytest.mark.parametrize("command", ["validate", "lemmas", "witness"])
+@pytest.mark.parametrize("name", ["cbit_bitflip", "boxworld_reflection"])
+def test_command_text_matches_golden(capsys, repo_root, name, command):
+    code, out, err = run_cli(capsys, command, str(repo_root / "models" / f"{name}.json"))
+    assert code == 0 and err == ""
+    assert out == (repo_root / "tests" / "golden" / f"{name}.{command}.txt").read_text()
+
+
+def test_validate_shows_failing_composite_checks(capsys, repo_root, tmp_path):
+    # the extra effect reaches 1 + 5e-10 on a product state: inside the
+    # 1e-9 the composition accepts, outside the file's tol of 1e-10
+    model = json.loads((repo_root / "models" / "cbit_bitflip.json").read_text())
+    model["composites"][0]["extra_effect_generators"].append([1.0 + 5e-10, 0.0, 0.0, 1.0])
+    model["options"]["tol"] = 1e-10
+    path = tmp_path / "overfull_effect.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1 and err == ""
+    assert out.splitlines() == [
+        "[pass] system A: worst residual 0.00e+00",
+        "[pass] system B: worst residual 0.00e+00",
+        "[FAIL] composite AB: worst residual 5.00e-10",
+        "  [FAIL] pairing_range: residual 5.00e-10 "
+        "(effect(state) within [0,1] for all generators)",
+        "[pass] steering closure: 32 marginal and 96 steered-effect checks",
+    ]
 
 
 def test_unknown_builtin_fails_cleanly(capsys):

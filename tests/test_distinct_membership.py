@@ -5,12 +5,13 @@ the reports must still be what one membership call per pair gives, field
 for field, on the benchmark ladder of builtins and on worlds that fail.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracles
-from twirlab import hermitian
-from twirlab.analysis import build_twirled_world
+from twirlab import hermitian, pipeline
 from twirlab.catalog import build_world, classical_system
 from twirlab.core import (
     CompositeSpec,
@@ -23,7 +24,6 @@ from twirlab.core import (
     in_state_cone,
     validate_system,
 )
-from twirlab.pipeline import _twirled_composite_view
 
 # the builtins of the benchmark's ladder workload
 BIPARTITE = [
@@ -103,26 +103,27 @@ _TILT = np.array([0.0, 1.0, 2.0, 3.0]) / np.sqrt(14.0)
 TILTED = np.eye(4) - np.outer(_TILT, _TILT)
 
 
+def _twirl_stage(name, params):
+    run = pipeline.start(build_world(name, params))
+    pipeline.twirl(run)
+    return run
+
+
 def _ladder_composites(name, params):
-    """The base composite and the twirled view run_analysis checks."""
-    bundle = build_world(name, params)
-    twa, twb = (build_twirled_world(p, act) for p, act in
-                zip(bundle.parts, bundle.part_actions))
-    twab = build_twirled_world(bundle.composite, bundle.collective)
-    view = _twirled_composite_view(twab, twa, twb)
+    """The base composite and the twirled view the steering stage checks."""
+    run = _twirl_stage(name, params)
+    twa, twb, twab = run.split()
+    view = replace(twab.world, parts=(twa.world, twb.world))
     projs = None
     if view.hilbert_dims is not None:
         projs = (twa.projector.matrix, twb.projector.matrix)
-    return [(bundle.composite, None), (view, projs)]
+    return [(run.bundle.composite, None), (view, projs)]
 
 
 def _ladder_systems(name, params):
-    bundle = build_world(name, params)
-    systems = list(bundle.parts)
-    if bundle.bipartite:
-        systems.append(bundle.composite)
-    return systems + [build_twirled_world(s, act).world for s, act in
-                      zip(systems, list(bundle.part_actions) + [bundle.collective])]
+    run = _twirl_stage(name, params)
+    systems = [s for s, _ in run.bundle.system_actions]
+    return systems + [tw.world for tw in run.twirled.values()]
 
 
 def _assert_steering_matches(world, projs=None):

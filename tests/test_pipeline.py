@@ -1,13 +1,27 @@
 import copy
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from twirlab import symmetry
 from twirlab.catalog import WorldBundle, build_world, classical_system
 from twirlab.core import CompositeSpec, compose_systems
+from twirlab.model import parse_model
 from twirlab.pipeline import Options, render_text, run_analysis
-from twirlab.symmetry import build_finite_action, collective_action
+from twirlab.symmetry import build_finite_action
+
+# the benchmark's ladder of builtins, spinor_su2 n=3 (two different part
+# actions) and the two shipped models
+LADDER = [("cbit_bitflip", {}), ("boxworld_reflection", {}),
+          ("pointer_discrete", {"n": 2}), ("pointer_discrete", {"n": 3}),
+          ("pointer_discrete", {"n": 4}), ("spinor_su2", {"n": 1}),
+          ("spinor_su2", {"n": 2}), ("spinor_su2", {"n": 3}),
+          ("bosonic_u1", {"N": 1, "modes": 2}), ("bosonic_u1", {"N": 1, "modes": 1}),
+          ("bosonic_u1", {"N": 2, "modes": 1}), ("bosonic_u1", {"N": 3, "modes": 1}),
+          ("models/cbit_bitflip.json", None), ("models/boxworld_reflection.json", None)]
 
 
 def test_options_defaults():
@@ -94,8 +108,7 @@ def trivial_world():
     act = build_finite_action(["e"], [eye])
     comp = compose_systems(CompositeSpec(a, b))
     return WorldBundle(name="idle-pair", params={}, kind="classical",
-                       parts=(a, b), part_actions=(act, act),
-                       composite=comp, collective=collective_action([act, act]))
+                       parts=(a, b), part_actions=(act, act), composite=comp)
 
 
 def test_symmetry_free_world_stays_local():
@@ -154,3 +167,40 @@ def test_reports_match_golden_files(name, repo_root):
     payload = run_analysis(mf.bundle, opt, model_digest=mf.digest).to_bytes()
     golden = (repo_root / "tests" / "golden" / f"{name}.report.json").read_bytes()
     assert payload == golden
+
+
+def _record_twirl_projector(monkeypatch) -> list:
+    """Actions of every twirl_projector call, from whichever module makes it."""
+    real = symmetry.twirl_projector
+    seen = []
+
+    def recording(action, *args, **kwargs):
+        seen.append(action)
+        return real(action, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("twirlab") and getattr(module, "twirl_projector", None) is real:
+            monkeypatch.setattr(module, "twirl_projector", recording)
+    return seen
+
+
+@pytest.mark.parametrize("name, params", LADDER, ids=lambda x: str(x))
+def test_each_action_is_averaged_once_per_run(name, params, monkeypatch, repo_root):
+    if params is None:
+        mf = parse_model(str(repo_root / name))
+        bundle, options = mf.bundle, Options(**mf.options)
+    else:
+        bundle, options = build_world(name, params), Options()
+    actions = {id(a) for a in bundle.part_actions}
+    if bundle.collective is not None:
+        actions.add(id(bundle.collective))
+    # the occupation-sector cross-check of two bosonic modes averages its own
+    hook = 1 if bundle.extra_counts is not None else 0
+    assert hook == (name == "bosonic_u1" and params["modes"] == 2)
+
+    seen = _record_twirl_projector(monkeypatch)
+    run_analysis(bundle, options)
+    assert len(seen) == len(actions) + hook
+    assert Counter(id(a) for a in seen if id(a) in actions) == dict.fromkeys(actions, 1)
+    run_analysis(bundle, options)  # a second run averages afresh
+    assert len(seen) == 2 * (len(actions) + hook)

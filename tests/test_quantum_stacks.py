@@ -22,6 +22,7 @@ from twirlab.analysis import build_twirled_world, count_parameters, sector_block
 from twirlab.catalog import build_world
 from twirlab.core import numerical_rank
 from twirlab.pipeline import Options, run_analysis
+from twirlab.symmetry import twirl_projector
 
 # the quantum builtins of the benchmark's ladder workload, and bosonic N=3
 QUANTUM = [
@@ -37,9 +38,8 @@ QUANTUM = [
 
 def _twirled(name, params):
     bundle = build_world(name, params)
-    systems = list(bundle.parts) + ([bundle.composite] if bundle.bipartite else [])
-    actions = list(bundle.part_actions) + [bundle.collective]
-    return bundle, [build_twirled_world(s, act) for s, act in zip(systems, actions)]
+    return bundle, [build_twirled_world(s, twirl_projector(act))
+                    for s, act in bundle.system_actions]
 
 
 def _per_row(vec, dims):

@@ -11,6 +11,7 @@ import pytest
 
 import oracles
 from twirlab.analysis import _sector_labels, build_twirled_world, sector_block_residual
+from twirlab.symmetry import twirl_projector
 from twirlab.catalog import build_world, number_sector_projectors
 from twirlab.hermitian import unvectorize_dims
 
@@ -42,11 +43,10 @@ def _diagonal_projector(dim, indices):
 @pytest.mark.parametrize("name, params", WORLDS, ids=lambda x: str(x))
 def test_every_sector_oracle_equals_the_product_form(name, params):
     bundle = build_world(name, params)
-    systems = list(bundle.parts) + ([bundle.composite] if bundle.bipartite else [])
-    actions = list(bundle.part_actions) + [bundle.collective]
-    by_id = {s.id: (s, act) for s, act in zip(systems, actions)}
+    by_id = {s.id: (s, act) for s, act in bundle.system_actions}
     for sid, oracle in bundle.sectors.items():
-        tw = build_twirled_world(*by_id[sid])
+        s, act = by_id[sid]
+        tw = build_twirled_world(s, twirl_projector(act))
         rows = np.vstack([tw.world.state_generators.T, tw.world.effect_generators])
         ops = unvectorize_dims(rows, oracle.hilbert_dims)
         res = _same(ops, oracle.projectors, oracle.scalar_sectors)

@@ -174,7 +174,7 @@ def test_collective_action_certification_budget():
 @given(st.integers(2, 5), st.integers(0, 10_000))
 @settings(max_examples=15, deadline=None)
 def test_law_suite_single_part(n, seed):
-    rep = verify_twirl_laws([cyclic(n)], trials=40, seed=seed)
+    rep = verify_twirl_laws([twirl_projector(cyclic(n))], trials=40, seed=seed)
     assert rep.max_residual <= 1e-9
     assert rep.consistency == {}
 
@@ -182,7 +182,10 @@ def test_law_suite_single_part(n, seed):
 @given(st.integers(2, 4), st.integers(0, 10_000))
 @settings(max_examples=10, deadline=None)
 def test_law_suite_two_parts(n, seed):
-    rep = verify_twirl_laws([cyclic(n), cyclic(n)], trials=30, seed=seed)
+    a = cyclic(n)
+    p = twirl_projector(a)
+    rep = verify_twirl_laws([p, p, twirl_projector(collective_action([a, a]))],
+                            trials=30, seed=seed)
     assert rep.max_residual <= 1e-9
     assert set(rep.consistency) == {
         "second_local_after_joint", "joint_after_second_local",
@@ -193,10 +196,16 @@ def test_law_suite_two_parts(n, seed):
 
 def test_law_suite_part_count_guard():
     a = cyclic(2)
+    p = twirl_projector(a)
+    pj = twirl_projector(collective_action([a, a]))
     with pytest.raises(LabelMismatch):
         verify_twirl_laws([])
     with pytest.raises(UnsupportedSize):
-        verify_twirl_laws([a, a, a])
+        verify_twirl_laws([p, p])
+    with pytest.raises(UnsupportedSize):
+        verify_twirl_laws([p, p, p, pj])
+    with pytest.raises(DimensionMismatch, match="joint space"):
+        verify_twirl_laws([p, p, p])
 
 
 # -------------------------------------------------- the 24-element realization
