@@ -5,8 +5,9 @@ Models are JSON files or builtin references like
 each runs: validate (structural checks: the validation stage, plus
 steering closure of the base composite), lemmas (averaging identities
 on random probes: the laws stage), analyze (the full pipeline, every
-stage), witness (just the separating state pairs: the twirl, verdict
-and invariant_pair stages), list (the builtin catalog).
+stage), witness (the separating state pairs: the validation stage,
+which refuses an invalid world, then the twirl, verdict and
+invariant_pair stages), list (the builtin catalog).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import pipeline
 from ._version import __version__
 from .catalog import BUILTINS, build_world
 from .core import check_steering_closure
-from .errors import InconsistentWorlds, TwirlabError
+from .errors import InconsistentWorlds, TwirlabError, ValidationFailure
 from .model import check_option, parse_builtin_ref, parse_model
 
 _GREEN = "\x1b[32m"
@@ -130,6 +131,11 @@ def _cmd_witness(args) -> int:
     run = pipeline.start(*_load(args))
     if not run.bundle.bipartite:
         raise InconsistentWorlds("witness construction needs a bipartite world")
+    pipeline.validation(run)
+    for sid, rep in run.validation.items():
+        if not rep.passed:
+            bad = ", ".join(c.name for c in rep.checks if not c.passed)
+            raise ValidationFailure(f"system {sid} fails validation: {bad}")
     for stage in (pipeline.twirl, pipeline.verdict, pipeline.invariant_pair):
         stage(run)
     loc = run.data.get("locality", {})

@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     InconsistentWorlds,
     RangeViolation,
+    SolverFailure,
     ValidationFailure,
 )
 from . import hermitian
@@ -244,7 +245,8 @@ def convex_membership(x: np.ndarray, generators: np.ndarray,
     Solved as min_t over the weight simplex of the sup-norm gap
     |G w - x|_inf <= t; membership iff the optimum is <= tol.  On failure
     a second program produces a separating functional (bounded in sup
-    norm) with a strictly positive margin.
+    norm) with a strictly positive margin.  Raises SolverFailure, with the
+    solver's status and message, when either program does not solve.
     """
     x = np.asarray(x, dtype=float).ravel()
     gens = np.atleast_2d(np.asarray(generators, dtype=float))
@@ -262,7 +264,7 @@ def convex_membership(x: np.ndarray, generators: np.ndarray,
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
                   bounds=[(0, None)] * n + [(0, None)], method="highs")
     if not res.success:
-        raise ValidationFailure(f"membership LP failed: {res.message}")
+        raise SolverFailure("membership LP", res.status, res.message)
     dist = float(res.x[-1])
     if dist <= tol:
         w = np.clip(res.x[:n], 0.0, None)
@@ -275,7 +277,7 @@ def convex_membership(x: np.ndarray, generators: np.ndarray,
     res2 = linprog(c2, A_ub=a_ub2, b_ub=np.zeros(n),
                    bounds=[(-1, 1)] * d + [(None, None)], method="highs")
     if not res2.success:
-        raise ValidationFailure(f"separation LP failed: {res2.message}")
+        raise SolverFailure("separation LP", res2.status, res2.message)
     f = res2.x[:d]
     margin = float(f @ x - np.max(gens @ f))
     return MembershipResult(member=False, distance=dist,
@@ -408,14 +410,13 @@ def _complement_complete(effects: np.ndarray, unit: np.ndarray) -> np.ndarray:
     return np.vstack([effects, unit - effects[new]])
 
 
-def compose_systems(c: CompositeSpec, tol: float = DEFAULT_TOL,
-                    validate: bool = True) -> SystemSpec:
+def compose_systems(c: CompositeSpec) -> SystemSpec:
     """Build the bipartite composite from products plus declared extras.
 
     Product generators come first (left factor major), then extra states
     and extra effects, then complements of any effects still missing them.
-    Extra generators are checked against the generated duals and rejected
-    if any pairing leaves [0, 1].
+    Only shapes are checked here; whether the composite is a valid world
+    is for validate_system to judge, at the tolerance of the run.
     """
     a, b = c.part_a, c.part_b
     dim = a.dim * b.dim
@@ -429,13 +430,6 @@ def compose_systems(c: CompositeSpec, tol: float = DEFAULT_TOL,
         if es.shape[1] != dim:
             raise DimensionMismatch(
                 f"extra state generators have dim {es.shape[1]}, expected {dim}")
-        vals = effects @ es.T
-        uvals = unit @ es.T
-        if np.any(vals < -tol) or np.any(vals > 1.0 + tol) or np.any(np.abs(uvals - 1.0) > tol):
-            worst = float(max(np.max(vals), np.max(1.0 - vals)))
-            raise ValidationFailure(
-                f"extra state generator violates the [0,1] range against product "
-                f"effects (worst value {worst})")
         states = np.hstack([states, es.T])
 
     ee = np.asarray(c.extra_effect_generators, dtype=float)
@@ -444,10 +438,6 @@ def compose_systems(c: CompositeSpec, tol: float = DEFAULT_TOL,
         if ee.shape[1] != dim:
             raise DimensionMismatch(
                 f"extra effect generators have dim {ee.shape[1]}, expected {dim}")
-        vals = ee @ states
-        if np.any(vals < -tol) or np.any(vals > 1.0 + tol):
-            raise ValidationFailure(
-                "extra effect generator violates the [0,1] range on composite states")
         effects = np.vstack([effects, ee])
 
     effects = _complement_complete(effects, unit)
@@ -456,15 +446,9 @@ def compose_systems(c: CompositeSpec, tol: float = DEFAULT_TOL,
     if a.hilbert_dims is not None and b.hilbert_dims is not None:
         hd = a.hilbert_dims + b.hilbert_dims
 
-    out = SystemSpec(id=c.id, dim=dim, state_generators=states,
-                     effect_generators=effects, unit_effect=unit,
-                     hilbert_dims=hd, parts=(a, b))
-    if validate:
-        rep = validate_system(out, tol)
-        if not rep.passed:
-            bad = [ck.name for ck in rep.checks if not ck.passed]
-            raise ValidationFailure(f"composite {out.id} failed validation: {bad}")
-    return out
+    return SystemSpec(id=c.id, dim=dim, state_generators=states,
+                      effect_generators=effects, unit_effect=unit,
+                      hilbert_dims=hd, parts=(a, b))
 
 
 @dataclass

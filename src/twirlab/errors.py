@@ -14,7 +14,8 @@ class RangeViolation(TwirlabError):
 
 
 class ValidationFailure(TwirlabError):
-    """A system failed a structural validity check at construction time."""
+    """A system failed a structural validity check at construction time,
+    or failed the validation stage of a command that refuses invalid worlds."""
 
 
 class NotAGroup(TwirlabError):

@@ -236,7 +236,8 @@ def parse_builtin_ref(ref: str) -> tuple[str, dict]:
 def parse_model(source) -> ModelFile:
     """Parse a model from a path, a JSON string, or a parsed dict.
 
-    Validation errors carry the JSON path of the offending entry.
+    Schema errors carry the JSON path of the offending entry.  Whether
+    the systems are valid worlds is left to the validation stage.
     """
     if isinstance(source, dict):
         raw = source
@@ -313,7 +314,10 @@ def parse_model(source) -> ModelFile:
         _expect(isinstance(parts, list) and len(parts) == 2, f"{cpath}.parts",
                 "composite needs exactly two part ids")
         for sid in parts:
-            _expect(sid in systems, f"{cpath}.parts", f"unknown system id {sid!r}")
+            _expect(isinstance(sid, str) and sid in systems, f"{cpath}.parts",
+                    f"unknown system id {sid!r}")
+        _expect(parts[0] != parts[1], f"{cpath}.parts",
+                "composite parts must be two different systems")
         pa, pb = systems[parts[0]], systems[parts[1]]
         dim_ab = pa.dim * pb.dim
         extras_s = entry.get("extra_state_generators", [])
@@ -326,7 +330,10 @@ def parse_model(source) -> ModelFile:
         if ee.size and ee.shape[1] != dim_ab:
             raise DimensionError(f"{cpath}.extra_effect_generators",
                                  f"vectors of length {ee.shape[1]} on a dim-{dim_ab} composite")
-        cid = entry.get("id") or (pa.id + pb.id)
+        cid = entry.get("id", pa.id + pb.id)
+        _expect(isinstance(cid, str) and cid, f"{cpath}.id",
+                "composite id must be a nonempty string")
+        _expect(cid not in parts, f"{cpath}.id", f"composite id {cid!r} is a part id")
         composite = compose_systems(CompositeSpec(
             pa, pb, id=cid, extra_state_generators=es, extra_effect_generators=ee))
         sys_list = [pa, pb]

@@ -160,8 +160,7 @@ def test_witness_runs_only_the_stages_it_prints(capsys, monkeypatch, repo_root):
     def refuse(*args, **kwargs):
         raise AssertionError("witness ran a stage whose output it does not print")
 
-    for name in ("check_steering_closure", "_sector_residuals", "verify_twirl_laws",
-                 "validate_system"):
+    for name in ("check_steering_closure", "_sector_residuals", "verify_twirl_laws"):
         monkeypatch.setattr(pipeline, name, refuse)
     assert [run_cli(capsys, "witness", ref) for ref in refs] == want
     assert all(code == 0 and "locality witness" in out for code, out, _ in want)
@@ -176,8 +175,8 @@ def test_command_text_matches_golden(capsys, repo_root, name, command):
 
 
 def test_validate_shows_failing_composite_checks(capsys, repo_root, tmp_path):
-    # the extra effect reaches 1 + 5e-10 on a product state: inside the
-    # 1e-9 the composition accepts, outside the file's tol of 1e-10
+    # the extra effect reaches 1 + 5e-10 on a product state: outside the
+    # file's tol of 1e-10, so the validation stage fails the composite
     model = json.loads((repo_root / "models" / "cbit_bitflip.json").read_text())
     model["composites"][0]["extra_effect_generators"].append([1.0 + 5e-10, 0.0, 0.0, 1.0])
     model["options"]["tol"] = 1e-10
@@ -193,6 +192,61 @@ def test_validate_shows_failing_composite_checks(capsys, repo_root, tmp_path):
         "(effect(state) within [0,1] for all generators)",
         "[pass] steering closure: 32 marginal and 96 steered-effect checks",
     ]
+
+
+def _cbit_model(repo_root, tmp_path, mutate):
+    model = json.loads((repo_root / "models" / "cbit_bitflip.json").read_text())
+    mutate(model)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(model))
+    return str(path)
+
+
+def _overfull_effect(tol=None):
+    def mutate(model):
+        model["composites"][0]["extra_effect_generators"].append([1.0 + 1e-8, 0.0, 0.0, 1.0])
+        if tol is not None:
+            model["options"]["tol"] = tol
+    return mutate
+
+
+@pytest.mark.parametrize("file_tol,flags", [(1e-6, ()), (None, ("--tol", "1e-6"))])
+def test_composite_is_checked_at_the_run_tol(capsys, repo_root, tmp_path, file_tol, flags):
+    # the extra effect reaches 1 + 1e-8 on a product state, within 1e-6
+    path = _cbit_model(repo_root, tmp_path, _overfull_effect(file_tol))
+    code, out, err = run_cli(capsys, "validate", path, *flags)
+    assert code == 0 and err == ""
+    assert "[pass] composite AB" in out and "[FAIL]" not in out
+
+
+@pytest.mark.parametrize("key,vector,failing", [
+    ("effect_generators", [1.2, 0.0], ["pairing_range", "complement_closure"]),
+    ("state_generators", [0.5, 0.6], ["unit_normalization", "pairing_range"]),
+])
+def test_validate_names_the_failing_part_check(capsys, repo_root, tmp_path,
+                                               key, vector, failing):
+    path = _cbit_model(repo_root, tmp_path,
+                       lambda m: m["systems"][0][key].append(vector))
+    code, out, err = run_cli(capsys, "validate", path)
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0].startswith("[FAIL] system A: ")
+    assert [ln.split(":")[0] for ln in lines[1:1 + len(failing)]] == [
+        f"  [FAIL] {name}" for name in failing]
+    assert lines[1 + len(failing)].startswith("[pass] system B: ")
+
+    code, out, err = run_cli(capsys, "witness", path)
+    assert code == 2 and out == ""
+    assert err == f"error: system A fails validation: {', '.join(failing)}\n"
+
+
+def test_witness_refuses_an_invalid_composite(capsys, repo_root, tmp_path):
+    path = _cbit_model(repo_root, tmp_path, _overfull_effect())
+    code, out, err = run_cli(capsys, "witness", path)
+    assert code == 2 and out == ""
+    assert err == "error: system AB fails validation: pairing_range\n"
+    code, out, err = run_cli(capsys, "witness", path, "--tol", "1e-6")
+    assert code == 0 and err == "" and "locality witness" in out
 
 
 def test_unknown_builtin_fails_cleanly(capsys):

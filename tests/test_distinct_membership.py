@@ -63,7 +63,7 @@ def lossy_world():
     # in dimension and in their effect hulls, so a steered vector sent to
     # the wrong side cannot pass unnoticed
     a, b = classical_system("A", 3), _bit("B", LOSSY_EFFECTS)
-    return compose_systems(CompositeSpec(a, b), validate=False)
+    return compose_systems(CompositeSpec(a, b))
 
 
 def _qubit(sys_id):

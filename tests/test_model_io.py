@@ -182,6 +182,13 @@ def test_option_bounds_are_inclusive_where_stated():
     (lambda m: m["composites"][0].update(parts=["A", "C"]),
      "$.composites[0].parts"),
     (lambda m: m["composites"][0].update(parts=["A"]), "$.composites[0].parts"),
+    (lambda m: m["composites"][0].update(parts=["A", "A"]), "$.composites[0].parts"),
+    (lambda m: m["composites"][0].update(parts=[["A"], "B"]), "$.composites[0].parts"),
+    (lambda m: m["composites"][0].update(id=5), "$.composites[0].id"),
+    (lambda m: m["composites"][0].update(id=""), "$.composites[0].id"),
+    (lambda m: m["composites"][0].update(id=None), "$.composites[0].id"),
+    (lambda m: m["composites"][0].update(id="A"), "$.composites[0].id"),
+    (lambda m: m["composites"][0].update(id="B"), "$.composites[0].id"),
 ])
 def test_schema_violations_carry_their_path(mutate, path):
     m = minimal_model()
@@ -189,6 +196,15 @@ def test_schema_violations_carry_their_path(mutate, path):
     with pytest.raises(SchemaError) as exc:
         parse_model(m)
     assert exc.value.path == path
+
+
+def test_composite_id_defaults_to_the_part_ids():
+    assert parse_model(minimal_model()).bundle.composite.id == "AB"
+    m = minimal_model()
+    m["composites"][0].update(id="pair", parts=["B", "A"])
+    bundle = parse_model(m).bundle
+    assert bundle.composite.id == "pair"
+    assert [s.id for s in bundle.parts] == ["B", "A"]
 
 
 def test_dimension_errors_carry_their_path():

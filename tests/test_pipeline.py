@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from twirlab import symmetry
+from twirlab import BUILTINS, core, symmetry
 from twirlab.catalog import WorldBundle, build_world, classical_system
 from twirlab.core import CompositeSpec, compose_systems
 from twirlab.model import parse_model
@@ -169,18 +169,18 @@ def test_reports_match_golden_files(name, repo_root):
     assert payload == golden
 
 
-def _record_twirl_projector(monkeypatch) -> list:
-    """Actions of every twirl_projector call, from whichever module makes it."""
-    real = symmetry.twirl_projector
+def _record_calls(monkeypatch, real) -> list:
+    """First argument of every call to the library function real, from
+    whichever module makes it."""
     seen = []
 
-    def recording(action, *args, **kwargs):
-        seen.append(action)
-        return real(action, *args, **kwargs)
+    def recording(first, *args, **kwargs):
+        seen.append(first)
+        return real(first, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("twirlab") and getattr(module, "twirl_projector", None) is real:
-            monkeypatch.setattr(module, "twirl_projector", recording)
+        if name.startswith("twirlab") and getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, recording)
     return seen
 
 
@@ -198,9 +198,24 @@ def test_each_action_is_averaged_once_per_run(name, params, monkeypatch, repo_ro
     hook = 1 if bundle.extra_counts is not None else 0
     assert hook == (name == "bosonic_u1" and params["modes"] == 2)
 
-    seen = _record_twirl_projector(monkeypatch)
+    seen = _record_calls(monkeypatch, symmetry.twirl_projector)
     run_analysis(bundle, options)
     assert len(seen) == len(actions) + hook
     assert Counter(id(a) for a in seen if id(a) in actions) == dict.fromkeys(actions, 1)
     run_analysis(bundle, options)  # a second run averages afresh
     assert len(seen) == 2 * (len(actions) + hook)
+
+
+def test_each_world_is_validated_once(monkeypatch, repo_root):
+    seen = _record_calls(monkeypatch, core.validate_system)
+    bundles = [build_world(name) for name in BUILTINS]
+    bundles += [parse_model(str(repo_root / "models" / f"{name}.json")).bundle
+                for name in ("cbit_bitflip", "boxworld_reflection")]
+    assert seen == []  # building a world and reading a model only build
+    for bundle in bundles:
+        run_analysis(bundle)
+        ids = [s.id for s, _ in bundle.system_actions]
+        # the validation stage judges each base system, the twirl stage
+        # each twirled world
+        assert [s.id for s in seen] == ids + [sid + "~" for sid in ids]
+        seen.clear()
