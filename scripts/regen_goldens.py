@@ -97,10 +97,8 @@ def boxworld_model() -> dict:
 
 def report_bytes(model: dict) -> bytes:
     mf = parse_model(model)
-    opt = Options()
-    for k, v in mf.options.items():
-        setattr(opt, k, v)
-    return run_analysis(mf.bundle, opt, model_digest=mf.digest).to_bytes()
+    return run_analysis(mf.bundle, Options(**mf.options),
+                        model_digest=mf.digest).to_bytes()
 
 
 def cli_text(command: str, path: Path) -> bytes:

@@ -9,14 +9,24 @@ ladder is cbit, boxworld, pointer_discrete n=2..6, spinor_su2 n=1..3 and
 bosonic_u1 N=1..3 with one and two modes; `--with-n4` adds bosonic_u1
 N=4 with two modes (several seconds a run).
 
+The script runs with one BLAS thread, whatever the caller's environment
+says: the bosonic_u1 N=4 report changes with the BLAS thread count, so
+its hash is only comparable across runs at a fixed count.
+
     python3 scripts/report_hashes.py --seeds 1 42 > before.txt
 """
 
-import argparse
-import hashlib
-import sys
-import time
-from pathlib import Path
+import os
+
+# pinned before numpy loads: one BLAS thread per process
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))

@@ -37,14 +37,12 @@ from .core import (
     SteeringReport,
     SystemSpec,
     ValidationReport,
-    apply_effect,
     check_steering_closure,
     compose_systems,
     convex_membership,
     in_effect_set,
     in_state_cone,
     numerical_rank,
-    tensor,
     validate_system,
 )
 from .errors import TwirlabError
@@ -58,8 +56,6 @@ from .symmetry import (
     build_finite_action,
     collective_action,
     qubit_octahedral_action,
-    su2_collective_twirl,
-    twirl,
     twirl_projector,
     verify_twirl_laws,
 )
@@ -85,7 +81,6 @@ __all__ = [
     "ValidationReport",
     "Witness",
     "WorldBundle",
-    "apply_effect",
     "bosonic_parameter_counts",
     "bosonic_sector_formula",
     "boxworld_witness_pairs",
@@ -111,10 +106,7 @@ __all__ = [
     "render_text",
     "run_analysis",
     "sector_block_residual",
-    "su2_collective_twirl",
-    "tensor",
     "transformation_pair_witness",
-    "twirl",
     "twirl_projector",
     "ubiquity_witnesses",
     "validate_system",

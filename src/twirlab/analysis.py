@@ -184,7 +184,7 @@ def locality_verdict(wa: TwirledWorld, wb: TwirledWorld, wab: TwirledWorld,
     witness = witness_error = None
     if direct_fails:
         try:
-            witness = _build_witness(wa, wb, wab, pairing, sab, tol)
+            witness = _build_witness(wa, wb, wab, pairing, tol)
         except (NotSeparable, SolverFailure) as exc:
             witness_error = str(exc)
     return LocalityVerdict(k_a=ka, k_b=kb, k_ab=kab,
@@ -195,11 +195,11 @@ def locality_verdict(wa: TwirledWorld, wb: TwirledWorld, wab: TwirledWorld,
 
 
 def _build_witness(wa: TwirledWorld, wb: TwirledWorld, wab: TwirledWorld,
-                   pairing: np.ndarray, sab: np.ndarray, tol: float) -> Witness:
+                   pairing: np.ndarray, tol: float) -> Witness:
     # invisible direction: right singular vector of the pairing with the
     # smallest singular value, lifted back to the joint space
     _, _, vt = np.linalg.svd(pairing)
-    direction = sab @ vt[-1]
+    direction = wab.invariant_state_basis @ vt[-1]
     direction = direction / np.max(np.abs(direction))
 
     gens = wab.world.state_generators
@@ -213,8 +213,7 @@ def _build_witness(wa: TwirledWorld, wb: TwirledWorld, wab: TwirledWorld,
     s1 = center + delta * direction
     s2 = center - delta * direction
 
-    sep = find_separating_invariant_effect(
-        s1, s2, wab.base.effect_generators, wab.projector, tol)
+    sep = find_separating_invariant_effect(s1, s2, wab.world.effect_generators, tol)
     return Witness(state_1=s1, state_2=s2,
                    product_effect_discrepancy=verify_local_indistinguishability(s1, s2, wa, wb),
                    separating_effect=sep[0], separating_gap=sep[1],
@@ -258,15 +257,16 @@ def verify_local_indistinguishability(s1: np.ndarray, s2: np.ndarray,
 
 
 def find_separating_invariant_effect(s1: np.ndarray, s2: np.ndarray,
-                                     base_effects: np.ndarray, p: TwirlProjector,
+                                     invariant_effects: np.ndarray,
                                      tol: float = DEFAULT_TOL):
     """Invariant effect with the largest gap between two invariant states.
 
-    Averages every base effect generator and scans the pairings with
-    s1 - s2, returning the first effect achieving the maximal absolute
+    invariant_effects are the averaged effect generators, as rows (the
+    effect generators of a twirled world).  Scans their pairings with
+    s1 - s2 and returns the first effect achieving the maximal absolute
     gap.  Raises NotSeparable when even the best gap is below tolerance.
     """
-    inv = np.asarray(base_effects, dtype=float) @ p.matrix
+    inv = np.asarray(invariant_effects, dtype=float)
     gaps = inv @ (np.asarray(s1, dtype=float) - np.asarray(s2, dtype=float))
     idx = int(np.argmax(np.abs(gaps)))
     gap = float(gaps[idx])

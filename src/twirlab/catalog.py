@@ -255,8 +255,8 @@ def fock_mode_generators(N: int) -> list:
 def fock_mode_system(sys_id: str, N: int) -> SystemSpec:
     d = N + 1
     ops = fock_mode_generators(N)
-    vecs = np.array([hermitian.vectorize(op, d) for op in ops]).T
-    unit = hermitian.vectorize(np.eye(d, dtype=complex), d)
+    vecs = np.array([hermitian.vectorize_dims(op, (d,)) for op in ops]).T
+    unit = hermitian.vectorize_dims(np.eye(d, dtype=complex), (d,))
     effects = np.vstack([vecs.T, unit - vecs.T, unit, np.zeros(d * d)])
     return SystemSpec(id=sys_id, dim=d * d, state_generators=vecs,
                       effect_generators=effects, unit_effect=unit,
@@ -361,7 +361,7 @@ def bosonic_parameter_counts(N: int, rank_tol: float = DEFAULT_RANK_TOL) -> dict
     d = N + 1
     act = phase_action(N)
     local_gens = fock_mode_generators(N)
-    svec = np.array([hermitian.vectorize(op, d) for op in local_gens]).T
+    svec = np.array([hermitian.vectorize_dims(op, (d,)) for op in local_gens]).T
 
     k_single = numerical_rank(twirl_projector(act).matrix @ svec, rank_tol)
 

@@ -20,7 +20,6 @@ from scipy.optimize import linprog
 from .errors import (
     DimensionMismatch,
     InconsistentWorlds,
-    RangeViolation,
     SolverFailure,
     ValidationFailure,
 )
@@ -35,6 +34,15 @@ _KEY_DECIMALS = 10
 # row-wise work (keys, steered vectors) runs in blocks of about this many
 # floats, which bounds its transient memory
 _BLOCK_FLOATS = 1 << 14
+
+
+def _row_blocks(n_rows: int, floats_per_row: int):
+    """Slices of consecutive rows, each of about _BLOCK_FLOATS floats
+    (at least one row), covering range(n_rows) in order."""
+    step = max(1, _BLOCK_FLOATS // floats_per_row)
+    for start in range(0, n_rows, step):
+        yield slice(start, start + step)
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
@@ -53,9 +61,8 @@ def _row_keys(rows: np.ndarray, decimals: int | None = _KEY_DECIMALS):
     order and made one block at a time.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    step = max(1, _BLOCK_FLOATS // rows.shape[1])
-    for start in range(0, rows.shape[0], step):
-        r = rows[start:start + step]
+    for block in _row_blocks(*rows.shape):
+        r = rows[block]
         r = np.ascontiguousarray(r if decimals is None else np.round(r, decimals)) + 0.0
         yield from r.view(np.dtype((np.void, r.itemsize * r.shape[1]))).ravel().tolist()
 
@@ -80,9 +87,7 @@ def _decide_distinct(rows: np.ndarray, decide, seen: set):
     idx = np.array(idx, dtype=int)
     ok = np.zeros(idx.size, dtype=bool)
     res = np.zeros(idx.size)
-    step = max(1, _BLOCK_FLOATS // rows.shape[1])
-    for start in range(0, idx.size, step):
-        block = slice(start, start + step)
+    for block in _row_blocks(idx.size, rows.shape[1]):
         ok[block], res[block] = decide(rows[idx[block]] + 0.0)
     return idx, ok, res
 
@@ -177,28 +182,6 @@ class CompositeSpec:
     def __post_init__(self):
         if not self.id:
             object.__setattr__(self, "id", self.part_a.id + self.part_b.id)
-
-
-def apply_effect(e: np.ndarray, omega: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """Pairing of one effect with one state; raises outside [0,1] + tol."""
-    e = np.asarray(e, dtype=float).ravel()
-    omega = np.asarray(omega, dtype=float).ravel()
-    if e.shape[0] != omega.shape[0]:
-        raise DimensionMismatch(
-            f"effect has dim {e.shape[0]}, state has dim {omega.shape[0]}")
-    p = float(e @ omega)
-    if p < -tol or p > 1.0 + tol:
-        raise RangeViolation(f"pairing value {p} outside [0, 1]")
-    return p
-
-
-def tensor(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Kronecker product of two states, two effects, or two maps."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != y.ndim:
-        raise DimensionMismatch("tensor operands must both be vectors or both matrices")
-    return np.kron(x, y)
 
 
 @dataclass
@@ -518,10 +501,9 @@ def _worst_steered(joint: np.ndarray, sides) -> float:
     """
     worst = 0.0
     for steer, decide, width in sides:
-        step = max(1, _BLOCK_FLOATS // width)
         seen = set()
-        for start in range(0, joint.shape[0], step):
-            block = steer(joint[start:start + step])
+        for rows in _row_blocks(joint.shape[0], width):
+            block = steer(joint[rows])
             _, ok, res = _decide_distinct(block.reshape(-1, block.shape[-1]), decide, seen)
             worst = max(worst, res[~ok].max(initial=0.0))
     return float(worst)

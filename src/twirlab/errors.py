@@ -9,10 +9,6 @@ class DimensionMismatch(TwirlabError):
     """Operands have incompatible dimensions."""
 
 
-class RangeViolation(TwirlabError):
-    """A pairing produced a value outside [0, 1] beyond tolerance."""
-
-
 class ValidationFailure(TwirlabError):
     """A system failed a structural validity check at construction time,
     or failed the validation stage of a command that refuses invalid worlds."""

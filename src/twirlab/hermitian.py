@@ -49,16 +49,6 @@ def hermitian_basis(d: int) -> np.ndarray:
     return out
 
 
-def vectorize(op: np.ndarray, d: int) -> np.ndarray:
-    """Real coordinate vector of a Hermitian operator, length d^2."""
-    return vectorize_dims(op, (d,))
-
-
-def unvectorize(vec: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of vectorize: rebuild the d x d Hermitian operator."""
-    return unvectorize_dims(vec, (d,))
-
-
 @lru_cache(maxsize=64)
 def _factor_plan(d: int, parts: int):
     """The sparse pass of one d x d factor, read off hermitian_basis(d).

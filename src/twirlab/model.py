@@ -6,8 +6,9 @@ name.  Parsing produces the same WorldBundle the builtin catalog yields,
 so the analysis pipeline does not care where a world came from.
 
 Serialization is canonical: keys sorted, two-space indent, floats with
-17 significant digits.  Emitting a parsed model reproduces the canonical
-file byte for byte, and report files are stable across repeated runs.
+17 significant digits.  canonical_bytes(m.raw) of a parsed model m
+reproduces the canonical file byte for byte, and report files are stable
+across repeated runs.
 """
 
 from __future__ import annotations
@@ -343,8 +344,3 @@ def parse_model(source) -> ModelFile:
                          composite=composite, name=name)
     return ModelFile(name=name, bundle=bundle, options=opts,
                      raw=raw, digest=digest(raw))
-
-
-def emit_model(m: ModelFile) -> bytes:
-    """Canonical byte serialization of the model's source object."""
-    return canonical_bytes(m.raw)

@@ -31,11 +31,11 @@ from .analysis import (
 )
 from .catalog import WorldBundle
 from .core import (
-    _BLOCK_FLOATS,
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
     SteeringReport,
     SystemSpec,
+    _row_blocks,
     check_steering_closure,
     validate_system,
 )
@@ -141,9 +141,8 @@ def _sector_residuals(bundle: WorldBundle, twirled: dict) -> dict:
         worst = 0.0
         # generators as rows, rebuilt and checked one bounded stack at a time
         for rows in (tw.world.state_generators.T, tw.world.effect_generators):
-            step = max(1, _BLOCK_FLOATS // rows.shape[1])
-            for start in range(0, rows.shape[0], step):
-                ops = unvectorize_dims(rows[start:start + step], oracle.hilbert_dims)
+            for block in _row_blocks(*rows.shape):
+                ops = unvectorize_dims(rows[block], oracle.hilbert_dims)
                 worst = max(worst, np.max(sector_block_residual(
                     ops, oracle.projectors, oracle.scalar_sectors)))
         out[sid] = float(worst)
@@ -317,8 +316,7 @@ def _ubiquity_section(run: AnalysisReport) -> dict:
     }
     try:
         eff, gap, idx = find_separating_invariant_effect(
-            uw.correlated_state, uw.product_state,
-            twab.base.effect_generators, twab.projector, tol)
+            uw.correlated_state, uw.product_state, twab.world.effect_generators, tol)
         out["separating_gap"] = float(gap)
         out["separating_index"] = idx
         out["separating_effect"] = eff.tolist()

@@ -77,10 +77,6 @@ class GroupAction:
     def order(self) -> int:
         return self.elements.shape[0]
 
-    def is_trivial(self, tol: float = DEFAULT_TOL) -> bool:
-        eye = np.eye(self.dim)
-        return all(np.max(np.abs(m - eye)) <= tol for m in self.elements)
-
 
 def _first_matches(mats: np.ndarray, targets: np.ndarray, tol: float) -> np.ndarray:
     """Index of the first element of mats within tol of each target, or -1.
@@ -243,18 +239,6 @@ def twirl_projector(a: GroupAction, tol: float = DEFAULT_TOL) -> TwirlProjector:
                           commutation_residual=comm)
 
 
-def twirl(p: TwirlProjector, x: np.ndarray, kind: str = "state") -> np.ndarray:
-    """Average a state (acts on the left) or an effect (acts on the right)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0 if kind == "state" else -1] != p.dim:
-        raise DimensionMismatch("vector does not match projector dimension")
-    if kind == "state":
-        return p.matrix @ x
-    if kind == "effect":
-        return x @ p.matrix
-    raise ValueError(f"kind must be 'state' or 'effect', got {kind!r}")
-
-
 @dataclass
 class LawReport:
     """Max residuals of the averaging identities over random probes."""
@@ -367,18 +351,3 @@ def qubit_octahedral_action() -> GroupAction:
         labs, mats,
         certification=Certification(realizes="SU(2)", max_factors=3,
                                     note="unitary 3-design subgroup"))
-
-
-def su2_collective_twirl(n: int, tol: float = DEFAULT_TOL) -> TwirlProjector:
-    """Collective rotation average on n spin-1/2 factors, n <= 3.
-
-    Realized by the uniform average over the 24-element subgroup acting
-    identically on every factor; the result equals the full-group average
-    exactly for up to three factors.
-    """
-    if not 1 <= n <= 3:
-        raise UnsupportedSize(
-            "collective rotation average certified for 1 to 3 factors only")
-    local = qubit_octahedral_action()
-    act = collective_action([local] * n) if n > 1 else local
-    return twirl_projector(act, tol)

@@ -229,8 +229,7 @@ def test_ubiquity_pair_is_locally_indistinguishable(cbit_twirled):
     assert verify_local_indistinguishability(
         uw.correlated_state, uw.product_state, twa, twb) <= 1e-12
     eff, gap, idx = find_separating_invariant_effect(
-        uw.correlated_state, uw.product_state,
-        twab.base.effect_generators, twab.projector)
+        uw.correlated_state, uw.product_state, twab.world.effect_generators)
     assert abs(gap - 0.5) <= 1e-12
     assert idx == 16  # the first two-outcome parity row of the composite
     assert abs(float(eff @ (uw.correlated_state - uw.product_state)) - gap) <= 1e-12
@@ -240,8 +239,23 @@ def test_no_separator_for_equal_states(cbit_twirled):
     _, _, twab = cbit_twirled
     s = twab.world.state_generators[:, 0]
     with pytest.raises(NotSeparable):
-        find_separating_invariant_effect(
-            s, s, twab.base.effect_generators, twab.projector)
+        find_separating_invariant_effect(s, s, twab.world.effect_generators)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("cbit_bitflip", {}), ("boxworld_reflection", {}),
+    ("pointer_discrete", {"n": 2}), ("pointer_discrete", {"n": 3}),
+    ("pointer_discrete", {"n": 4}), ("spinor_su2", {"n": 2}),
+    ("bosonic_u1", {"N": 1, "modes": 2}), ("bosonic_u1", {"N": 2, "modes": 2}),
+])
+def test_twirled_effects_are_the_averaged_base_effects(name, params):
+    # the separating-effect search takes the twirled world's effect list
+    # as the average of the base effects; it must be that product, bit for bit
+    b = build_world(name, params)
+    twab = build_twirled_world(b.composite, twirl_projector(b.collective))
+    averaged = twab.base.effect_generators @ twab.projector.matrix
+    assert np.array_equal(twab.world.effect_generators.view(np.uint64),
+                          averaged.view(np.uint64))
 
 
 def test_transformation_pair_on_the_bit(cbit_twirled):

@@ -72,7 +72,7 @@ def test_qubit_states_are_pure_projectors():
     s = qubit_system("A")
     assert validate_system(s).passed
     for i in range(s.n_states):
-        op = hermitian.unvectorize(s.state_generators[:, i], 2)
+        op = hermitian.unvectorize_dims(s.state_generators[:, i], (2,))
         ev = np.linalg.eigvalsh(op)
         assert np.allclose(sorted(ev), [0.0, 1.0], atol=1e-12)
 
@@ -102,7 +102,7 @@ def test_fock_generators_span():
         d = N + 1
         ops = fock_mode_generators(N)
         assert len(ops) == d * d
-        vecs = np.array([hermitian.vectorize(op, d) for op in ops])
+        vecs = np.array([hermitian.vectorize_dims(op, (d,)) for op in ops])
         assert np.linalg.matrix_rank(vecs) == d * d
 
 

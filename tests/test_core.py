@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 from twirlab import (
     CompositeSpec,
     SystemSpec,
-    apply_effect,
     compose_systems,
     convex_membership,
     in_effect_set,
     in_state_cone,
     numerical_rank,
-    tensor,
     validate_system,
 )
 from twirlab import core
@@ -20,7 +18,6 @@ from twirlab.core import check_steering_closure, orthonormal_range
 from twirlab.errors import (
     DimensionMismatch,
     InconsistentWorlds,
-    RangeViolation,
     SolverFailure,
     ValidationFailure,
 )
@@ -62,40 +59,20 @@ def test_hilbert_dims_consistency():
                    hilbert_dims=(2,))
 
 
-def test_apply_effect_range_guard():
-    s = bit()
-    assert apply_effect(s.unit_effect, s.state_generators[:, 0]) == 1.0
-    with pytest.raises(RangeViolation):
-        apply_effect(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
-    with pytest.raises(DimensionMismatch):
-        apply_effect(np.ones(3), np.ones(2))
-
-
-@given(st.integers(0, 10_000))
-@settings(max_examples=30, deadline=None)
-def test_tensor_is_bilinear(seed):
-    rng = np.random.default_rng(seed)
-    x, y = rng.standard_normal(3), rng.standard_normal(4)
-    z = rng.standard_normal(3)
-    a = float(rng.standard_normal())
-    lhs = tensor(x + a * z, y)
-    rhs = tensor(x, y) + a * tensor(z, y)
-    assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, np.max(np.abs(rhs)))
-
-
-def test_tensor_rank_mismatch():
-    with pytest.raises(DimensionMismatch):
-        tensor(np.ones(2), np.ones((2, 2)))
-
-
 def test_composite_column_ordering():
-    # left factor major: product of column i and column j lands at i * n_b + j
+    # left factor major: product of column i and column j lands at i * n_b + j,
+    # and likewise for effect rows; the unit is the product of the units
     a, b = bit("A"), bit("B")
     comp = compose_systems(CompositeSpec(a, b))
-    i, j = 1, 0
-    want = np.kron(a.state_generators[:, i], b.state_generators[:, j])
-    got = comp.state_generators[:, i * b.n_states + j]
-    assert np.array_equal(got, want)
+    for i in range(a.n_states):
+        for j in range(b.n_states):
+            want = np.kron(a.state_generators[:, i], b.state_generators[:, j])
+            assert np.array_equal(comp.state_generators[:, i * b.n_states + j], want)
+    for i in range(a.n_effects):
+        for j in range(b.n_effects):
+            want = np.kron(a.effect_generators[i], b.effect_generators[j])
+            assert np.array_equal(comp.effect_generators[i * b.n_effects + j], want)
+    assert np.array_equal(comp.unit_effect, np.kron(a.unit_effect, b.unit_effect))
 
 
 # ------------------------------------------------------------------ membership
@@ -202,6 +179,19 @@ def test_validate_catches_missing_complement():
     rep = validate_system(s)
     bad = {c.name for c in rep.checks if not c.passed}
     assert "complement_closure" in bad
+
+
+def test_pairing_range_guard():
+    # the unit pairs to exactly 1 with each state of a valid world; an
+    # effect that pairs to 2 (or to -1) fails the check by 1
+    ok = {c.name: c for c in validate_system(bit()).checks}["pairing_range"]
+    assert ok.passed and ok.residual == 0.0
+    s = SystemSpec(id="X", dim=2, state_generators=np.eye(2),
+                   effect_generators=np.array([[0.0, 0.0], [1.0, 1.0],
+                                               [2.0, 0.0], [-1.0, 1.0]]),
+                   unit_effect=np.array([1.0, 1.0]))
+    bad = {c.name: c for c in validate_system(s).checks}["pairing_range"]
+    assert not bad.passed and bad.residual == 1.0
 
 
 def test_validate_catches_range_violation():

@@ -69,11 +69,11 @@ def lossy_world():
 def _qubit(sys_id):
     kets = [[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j]]
     projs = [np.outer(k, np.conj(k)) / np.vdot(k, k) for k in np.array(kets, dtype=complex)]
-    vec = [hermitian.vectorize(p, 2) for p in projs]
+    vec = [hermitian.vectorize_dims(p, (2,)) for p in projs]
     return SystemSpec(id=sys_id, dim=4, state_generators=np.array(vec).T,
-                      effect_generators=np.array([np.zeros(4), hermitian.vectorize(
-                          np.eye(2), 2)] + vec),
-                      unit_effect=hermitian.vectorize(np.eye(2), 2), hilbert_dims=(2,))
+                      effect_generators=np.array([np.zeros(4), hermitian.vectorize_dims(
+                          np.eye(2), (2,))] + vec),
+                      unit_effect=hermitian.vectorize_dims(np.eye(2), (2,)), hilbert_dims=(2,))
 
 
 def non_positive_qubit_pair():

@@ -36,9 +36,9 @@ def test_qubit_basis_is_scaled_pauli():
 def test_vectorize_round_trip(d, seed):
     rng = np.random.default_rng(seed)
     op = random_hermitian(rng, d)
-    vec = H.vectorize(op, d)
+    vec = H.vectorize_dims(op, (d,))
     assert vec.dtype == float
-    back = H.unvectorize(vec, d)
+    back = H.unvectorize_dims(vec, (d,))
     assert np.max(np.abs(back - op)) < 1e-12
 
 
@@ -50,12 +50,12 @@ def test_pairing_becomes_euclidean(seed):
     a = random_hermitian(rng, 3)
     b = random_hermitian(rng, 3)
     hs = np.trace(a @ b).real
-    assert abs(float(H.vectorize(a, 3) @ H.vectorize(b, 3)) - hs) < 1e-10
+    assert abs(float(H.vectorize_dims(a, (3,)) @ H.vectorize_dims(b, (3,))) - hs) < 1e-10
 
 
 def test_vectorize_rejects_non_hermitian():
     with pytest.raises(ValueError):
-        H.vectorize(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), 2)
+        H.vectorize_dims(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), (2,))
 
 
 @given(st.integers(0, 10_000))
@@ -67,7 +67,7 @@ def test_conjugation_superoperator_orthogonal_and_correct(seed):
     m = H.conjugation_superoperator(u)
     assert np.max(np.abs(m @ m.T - np.eye(9))) < 1e-10
     op = random_hermitian(rng, 3)
-    lhs = H.unvectorize(m @ H.vectorize(op, 3), 3)
+    lhs = H.unvectorize_dims(m @ H.vectorize_dims(op, (3,)), (3,))
     assert np.max(np.abs(lhs - u @ op @ u.conj().T)) < 1e-10
 
 
@@ -77,7 +77,7 @@ def test_composite_coordinates_factor_through_kron(seed):
     rng = np.random.default_rng(seed)
     a = random_hermitian(rng, 2)
     b = random_hermitian(rng, 3)
-    vec = np.kron(H.vectorize(a, 2), H.vectorize(b, 3))
+    vec = np.kron(H.vectorize_dims(a, (2,)), H.vectorize_dims(b, (3,)))
     op = H.unvectorize_dims(vec, (2, 3))
     assert np.max(np.abs(op - np.kron(a, b))) < 1e-10
     back = H.vectorize_dims(np.kron(a, b), (2, 3))
@@ -98,12 +98,12 @@ def test_vectorize_dims_round_trip_entangled(seed):
 def test_min_eigenvalue_and_interval_residual():
     rng = np.random.default_rng(5)
     op = random_hermitian(rng, 3)
-    vec = H.vectorize(op, 3)
+    vec = H.vectorize_dims(op, (3,))
     ev = np.linalg.eigvalsh(op)
     assert abs(H.min_eigenvalue(vec, (3,)) - ev[0]) < 1e-12
 
     proj = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    assert H.operator_interval_residual(H.vectorize(proj, 3), (3,)) == 0.0
+    assert H.operator_interval_residual(H.vectorize_dims(proj, (3,)), (3,)) == 0.0
     stretched = np.diag([1.5, 0.0, -0.25]).astype(complex)
-    res = H.operator_interval_residual(H.vectorize(stretched, 3), (3,))
+    res = H.operator_interval_residual(H.vectorize_dims(stretched, (3,)), (3,))
     assert abs(res - 0.5) < 1e-12

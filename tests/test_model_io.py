@@ -17,7 +17,6 @@ from twirlab.model import (
     canonical_bytes,
     canonical_json,
     digest,
-    emit_model,
     parse_builtin_ref,
     parse_model,
 )
@@ -107,8 +106,8 @@ def test_minimal_model_parses_and_round_trips():
     assert np.array_equal(b.parts[0].state_generators, np.eye(2))
     assert b.composite.dim == 4
     assert b.collective.order == 2
-    reparsed = parse_model(json.loads(emit_model(m).decode()))
-    assert emit_model(reparsed) == emit_model(m)
+    reparsed = parse_model(json.loads(canonical_bytes(m.raw).decode()))
+    assert canonical_bytes(reparsed.raw) == canonical_bytes(m.raw)
     assert reparsed.digest == m.digest
 
 
@@ -121,7 +120,7 @@ def test_parse_model_files_round_trip(repo_root):
     for fname in ("boxworld_reflection.json", "cbit_bitflip.json"):
         path = repo_root / "models" / fname
         m = parse_model(str(path))
-        assert emit_model(m) == path.read_bytes()
+        assert canonical_bytes(m.raw) == path.read_bytes()
 
 
 def test_options_parsed_with_string_floats():

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from twirlab import BUILTINS, core, symmetry
+from twirlab import BUILTINS, core, pipeline, symmetry
 from twirlab.catalog import WorldBundle, build_world, classical_system
 from twirlab.core import CompositeSpec, compose_systems
 from twirlab.model import parse_model
@@ -219,3 +219,18 @@ def test_each_world_is_validated_once(monkeypatch, repo_root):
         # each twirled world
         assert [s.id for s in seen] == ids + [sid + "~" for sid in ids]
         seen.clear()
+
+
+def test_sector_blocks_follow_the_core_block_size(monkeypatch):
+    # the sectors stage rebuilds generators in stacks sized by
+    # core._BLOCK_FLOATS, read when the stage runs
+    run = pipeline.start(build_world("spinor_su2", {"n": 2}))
+    pipeline.twirl(run)
+    seen = _record_calls(monkeypatch, pipeline.unvectorize_dims)
+    pipeline.sectors(run)
+    default_calls, want = len(seen), run.data.pop("sector_blocks")
+    seen.clear()
+    monkeypatch.setattr(core, "_BLOCK_FLOATS", 64)
+    pipeline.sectors(run)
+    assert len(seen) > default_calls
+    assert run.data["sector_blocks"] == want

@@ -17,8 +17,6 @@ from twirlab.symmetry import (
     build_finite_action,
     collective_action,
     qubit_octahedral_action,
-    su2_collective_twirl,
-    twirl,
     twirl_projector,
     verify_twirl_laws,
 )
@@ -41,7 +39,6 @@ def cyclic(n):
 def test_build_finite_action_accepts_cyclic():
     a = cyclic(4)
     assert a.order == 4 and a.dim == 4
-    assert not a.is_trivial()
 
 
 def test_rejects_missing_identity():
@@ -126,17 +123,14 @@ def test_projector_probe_branch_on_large_dimension():
     assert abs(out[0] - 0.5) < 1e-12 and abs(out[1] - 0.5) < 1e-12
 
 
-def test_twirl_dispatch():
+def test_projector_averages_states_and_effects():
+    # states are averaged as p.matrix @ v, effects as e @ p.matrix
     a = cyclic(3)
     p = twirl_projector(a)
     v = np.array([1.0, 0.0, 0.0])
-    assert np.allclose(twirl(p, v, "state"), np.full(3, 1.0 / 3.0))
+    assert np.allclose(p.matrix @ v, np.full(3, 1.0 / 3.0))
     e = np.array([1.0, 0.0, 0.0])
-    assert np.allclose(twirl(p, e, "effect"), np.full(3, 1.0 / 3.0))
-    with pytest.raises(ValueError):
-        twirl(p, v, "probability")
-    with pytest.raises(DimensionMismatch):
-        twirl(p, np.ones(4), "state")
+    assert np.allclose(e @ p.matrix, np.full(3, 1.0 / 3.0))
 
 
 # ----------------------------------------------------------- collective action
@@ -164,8 +158,6 @@ def test_collective_action_certification_budget():
     assert four.n_factors == 4
     with pytest.raises(CertificationError):
         twirl_projector(four)
-    with pytest.raises(UnsupportedSize):
-        su2_collective_twirl(4)
 
 
 # ------------------------------------------------------------------- the laws
@@ -225,7 +217,7 @@ def test_octahedral_action_matches_generated_group():
 def test_collective_rotation_average_matches_commutant(n, expected):
     # rank of the average projector equals the commutant dimension the
     # unitary picture predicts
-    p = su2_collective_twirl(n)
+    p = twirl_projector(collective_action([qubit_octahedral_action()] * n))
     rank = int(np.round(np.trace(p.matrix)))
     assert rank == expected
     unis = oracles.qubit_symmetry_group_unitaries()
