@@ -4,14 +4,17 @@ The model files under models/ are canonical serializations of the two
 explicit example worlds; the golden reports under tests/golden/ are the
 canonical analysis reports for those files, and tests/golden/<model>.
 {validate,lemmas,witness}.txt are the standard output of those commands
-on them.  Run with --check to verify the working tree matches what this
-script would write (the byte-level regression the test suite also
-enforces).
+on them.  tests/golden/ladder.sha256 is the output of
+scripts/report_hashes.py at seed 42: the report hash of every world of
+its ladder, computed in a child process at one BLAS thread.  Run with
+--check to verify the working tree matches what this script would write
+(the byte-level regression the test suite also enforces).
 """
 
 import argparse
 import contextlib
 import io
+import subprocess
 import sys
 from pathlib import Path
 
@@ -109,6 +112,14 @@ def cli_text(command: str, path: Path) -> bytes:
     return out.getvalue().encode("ascii")
 
 
+def ladder_hashes() -> bytes:
+    """Standard output of `scripts/report_hashes.py --seeds 42`, which
+    pins one BLAS thread before numpy loads."""
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "report_hashes.py"),
+                          "--seeds", "42"], capture_output=True, check=True)
+    return out.stdout
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", action="store_true",
@@ -136,6 +147,7 @@ def main() -> int:
         # the commands read the model file just emitted
         for command in CLI_COMMANDS:
             emit(golden / f"{name}.{command}.txt", cli_text(command, model_path))
+    emit(golden / "ladder.sha256", ladder_hashes())
 
     if args.check:
         if stale:

@@ -14,6 +14,7 @@ are separated by an invariant joint effect.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -27,7 +28,6 @@ from .core import (
     _row_keys,
     in_state_cone,
     numerical_rank,
-    orthonormal_range,
     rank_of_singular_values,
     validate_system,
 )
@@ -44,17 +44,29 @@ from .symmetry import GroupAction, TwirlProjector
 
 @dataclass(frozen=True)
 class TwirledWorld:
-    """A system restricted to its invariant states and effects."""
+    """A system restricted to its invariant states and effects.
+
+    k_effects is the rank of the averaged effect generators.  Their
+    orthonormal basis, invariant_effect_basis, is formed on first read
+    and kept: the locality verdict reads it for the parts, and nothing in
+    a run reads it for the composite, where it is the largest SVD.
+    """
 
     base: SystemSpec
     projector: TwirlProjector  # its .action is the averaged action
     world: SystemSpec
     invariant_state_basis: np.ndarray   # (dim, K) orthonormal columns
-    invariant_effect_basis: np.ndarray  # (K_eff, dim) orthonormal rows
     state_singular_values: np.ndarray   # of the averaged state generators, descending
     K: int
+    k_effects: int
     fixed_point_residual: float
     validation: ValidationReport
+
+    @cached_property
+    def invariant_effect_basis(self) -> np.ndarray:
+        """(k_effects, dim) orthonormal rows spanning the averaged effects."""
+        u, _, _ = np.linalg.svd(self.world.effect_generators.T, full_matrices=False)
+        return u[:, :self.k_effects].T
 
 
 def build_twirled_world(s: SystemSpec, p: TwirlProjector, tol: float = DEFAULT_TOL,
@@ -85,13 +97,13 @@ def build_twirled_world(s: SystemSpec, p: TwirlProjector, tol: float = DEFAULT_T
     rep = validate_system(world, tol)
 
     # one SVD of the state generators gives the basis and, through its
-    # singular values, K at any rank tolerance
+    # singular values, K at any rank tolerance; the effects need only
+    # their rank here, so their singular vectors wait for a reader
     u, sv, _ = np.linalg.svd(tw_states, full_matrices=False)
     sbasis = u[:, :rank_of_singular_values(sv, rank_tol)]
-    ebasis = orthonormal_range(tw_effects.T, rank_tol).T
     return TwirledWorld(base=s, projector=p, world=world,
-                        invariant_state_basis=sbasis, invariant_effect_basis=ebasis,
-                        state_singular_values=sv, K=sbasis.shape[1],
+                        invariant_state_basis=sbasis, state_singular_values=sv,
+                        K=sbasis.shape[1], k_effects=numerical_rank(tw_effects, rank_tol),
                         fixed_point_residual=fp, validation=rep)
 
 
@@ -329,16 +341,16 @@ def check_tomographic_completeness(w: TwirledWorld,
                                    rank_tol: float = DEFAULT_RANK_TOL) -> CompletenessReport:
     """Invariant effects fix invariant states, and vice versa.
 
-    The pairing of the invariant effect basis with the invariant state
-    basis must have full rank on both sides: no invariant state
+    The pairing of the averaged effect generators with the invariant
+    state basis must have rank K and rank k_effects: no invariant state
     difference is invisible to invariant effects, and no invariant effect
-    difference is invisible on invariant states.
+    difference is invisible on invariant states.  The averaged effects
+    are C F with F the invariant effect basis and C of full column rank,
+    so this is the rank of F against the state basis without forming F.
     """
-    pairing = w.invariant_effect_basis @ w.invariant_state_basis
-    r = numerical_rank(pairing, rank_tol)
-    ke = w.invariant_effect_basis.shape[0]
-    return CompletenessReport(system_id=w.world.id, K=w.K, k_effects=ke,
-                              pairing_rank=r, passed=(r == w.K and r == ke))
+    r = numerical_rank(w.world.effect_generators @ w.invariant_state_basis, rank_tol)
+    return CompletenessReport(system_id=w.world.id, K=w.K, k_effects=w.k_effects,
+                              pairing_rank=r, passed=(r == w.K and r == w.k_effects))
 
 
 @dataclass

@@ -365,17 +365,17 @@ def bosonic_parameter_counts(N: int, rank_tol: float = DEFAULT_RANK_TOL) -> dict
 
     k_single = numerical_rank(twirl_projector(act).matrix @ svec, rank_tol)
 
-    # two-mode averaged products, direct operator form
+    # two-mode averaged products, direct operator form; each phase unitary
+    # u (x) u is diagonal, w its diagonal, so u2 X u2^dagger = X * w w^dagger
     m_ord = 2 * N + 1
-    unis = [np.diag(np.exp(-2.0j * np.pi * k * np.arange(d) / m_ord))
-            for k in range(m_ord)]
     gens = np.array(local_gens)
     prods = (gens[:, None, :, None, :, None] * gens[None, :, None, :, None, :]).reshape(
         -1, d * d, d * d)  # np.kron of every ordered pair, first factor major
     acc = np.zeros(prods.shape, dtype=complex)
-    for u in unis:
-        u2 = np.kron(u, u)
-        acc += u2 @ prods @ u2.conj().T
+    for k in range(m_ord):
+        phases = np.exp(-2.0j * np.pi * k * np.arange(d) / m_ord)
+        w = np.kron(phases, phases)
+        acc += prods * np.outer(w, w.conj())
     twirled = acc / m_ord
 
     flat = twirled.reshape(len(prods), -1)

@@ -46,23 +46,25 @@ def _paint(text: str, stream=None) -> str:
 
 def _load(args):
     """Resolve the model reference to (bundle, options, digest); flags
-    override the options the model file sets."""
+    override the options the model file sets, its group closure's tol
+    included."""
+    flags = _flag_options(args)
     if args.model.startswith("builtin:"):
         name, params = parse_builtin_ref(args.model)
-        return build_world(name, params), _options(args, {}), None
-    mf = parse_model(args.model)
-    return mf.bundle, _options(args, mf.options), mf.digest
+        return build_world(name, params), pipeline.Options(**flags), None
+    mf = parse_model(args.model, tol=flags.get("tol"))
+    return mf.bundle, pipeline.Options(**{**mf.options, **flags}), mf.digest
 
 
-def _options(args, file_opts: dict) -> pipeline.Options:
-    values = dict(file_opts)
+def _flag_options(args) -> dict:
+    values = {}
     for key, flag in (("tol", "--tol"), ("rank_tol", "--rank-tol"),
                       ("seed", "--seed"), ("trials", "--trials")):
         value = getattr(args, key, None)
         if value is not None:
             check_option(key, value, flag)
             values[key] = value
-    return pipeline.Options(**values)
+    return values
 
 
 def _cmd_list(args) -> int:

@@ -234,11 +234,13 @@ def parse_builtin_ref(ref: str) -> tuple[str, dict]:
     return name, params
 
 
-def parse_model(source) -> ModelFile:
+def parse_model(source, tol: float | None = None) -> ModelFile:
     """Parse a model from a path, a JSON string, or a parsed dict.
 
     Schema errors carry the JSON path of the offending entry.  Whether
-    the systems are valid worlds is left to the validation stage.
+    the systems are valid worlds is left to the validation stage.  The
+    group is closed at tol when it is given (a run's --tol), else at the
+    file's options.tol.
     """
     if isinstance(source, dict):
         raw = source
@@ -298,7 +300,9 @@ def parse_model(source) -> ModelFile:
                 f"duplicate system id {spec.id!r}")
         systems[spec.id] = spec
 
-    actions = _parse_group(group, systems, "$.group", opts.get("tol", DEFAULT_TOL))
+    if tol is None:
+        tol = opts.get("tol", DEFAULT_TOL)
+    actions = _parse_group(group, systems, "$.group", tol)
 
     composites = raw.get("composites", [])
     _expect(isinstance(composites, list), "$.composites", "composites must be a list")

@@ -16,7 +16,7 @@ from twirlab.analysis import (
     verify_local_indistinguishability,
 )
 from twirlab.catalog import build_world, classical_system
-from twirlab.core import CompositeSpec, compose_systems
+from twirlab.core import CompositeSpec, compose_systems, numerical_rank, orthonormal_range
 from twirlab.errors import (
     ActionNotPhysical,
     DimensionMismatch,
@@ -25,6 +25,7 @@ from twirlab.errors import (
     SolverFailure,
     TrivialAction,
 )
+from twirlab.pipeline import Options, run_analysis
 from twirlab.symmetry import (
     GroupAction,
     TwirlProjector,
@@ -131,6 +132,39 @@ def test_completeness_of_twirled_bit(cbit_twirled):
     assert rep.passed and rep.K == 1 and rep.pairing_rank == 1
     rep2 = check_tomographic_completeness(twab)
     assert rep2.passed and rep2.K == 2
+
+
+@pytest.mark.parametrize("name,params", [("bosonic_u1", {"N": 2, "modes": 2}),
+                                         ("pointer_discrete", {"n": 3})])
+def test_run_forms_the_effect_basis_of_the_parts_only(name, params):
+    run = run_analysis(build_world(name, params), Options())
+    twa, twb, twab = run.split()
+    assert "invariant_effect_basis" not in vars(twab)
+    # guard: the parts' bases, read by the verdict, are the full SVD's
+    for tw in (twa, twb):
+        assert "invariant_effect_basis" in vars(tw)
+        f = tw.invariant_effect_basis
+        expect = orthonormal_range(tw.world.effect_generators.T).T
+        assert f.shape[0] == tw.k_effects
+        assert f.shape == expect.shape
+        assert np.array_equal(f.view(np.uint64), expect.view(np.uint64))
+
+
+@pytest.mark.parametrize("name,params", [
+    ("cbit_bitflip", {}), ("boxworld_reflection", {}),
+    ("pointer_discrete", {"n": 2}), ("pointer_discrete", {"n": 3}),
+    ("pointer_discrete", {"n": 4}), ("spinor_su2", {"n": 2}),
+    ("bosonic_u1", {"N": 1, "modes": 2}), ("bosonic_u1", {"N": 2, "modes": 2}),
+])
+def test_completeness_ranks_match_the_effect_basis(name, params):
+    # guard: the averaged effects span what their orthonormal basis F
+    # spans, so both pair with the state basis at the same rank
+    for s, action in build_world(name, params).system_actions:
+        tw = build_twirled_world(s, twirl_projector(action))
+        f = orthonormal_range(tw.world.effect_generators.T).T
+        rep = check_tomographic_completeness(tw)
+        assert rep.k_effects == tw.k_effects == f.shape[0]
+        assert rep.pairing_rank == numerical_rank(f @ tw.invariant_state_basis)
 
 
 # ------------------------------------------------------------ locality verdict

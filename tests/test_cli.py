@@ -379,6 +379,24 @@ def test_model_group_is_checked_at_the_file_tol(capsys, repo_root, tmp_path):
                    "is not in the list\n")
 
 
+def test_model_group_is_checked_at_the_flag_tol(capsys, repo_root, tmp_path):
+    model = json.loads((repo_root / "models" / "cbit_bitflip.json").read_text())
+    model["group"]["elements"][1]["matrices"]["A"] = [[0, 1 + 1e-7], [1, 0]]
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run_cli(capsys, "validate", str(path), "--tol", "1e-6")
+    assert code == 0 and err == ""
+    assert "[pass] system A" in out
+
+    # the flag overrides the file's tol in both directions
+    model["options"]["tol"] = 1e-6
+    path.write_text(json.dumps(model))
+    code, out, err = run_cli(capsys, "validate", str(path), "--tol", "1e-9")
+    assert code == 2 and out == ""
+    assert err == ("error: $.group: system 'A': product of 'x' and 'x' "
+                   "is not in the list\n")
+
+
 def test_bad_subcommand_exits_with_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

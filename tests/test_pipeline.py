@@ -1,5 +1,7 @@
 import copy
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 
@@ -167,6 +169,25 @@ def test_reports_match_golden_files(name, repo_root):
     payload = run_analysis(mf.bundle, opt, model_digest=mf.digest).to_bytes()
     golden = (repo_root / "tests" / "golden" / f"{name}.report.json").read_bytes()
     assert payload == golden
+
+
+def _hash_table(text: str) -> dict:
+    """`world params seed` -> sha256, from report_hashes.py lines."""
+    return dict(line.rsplit(" ", 1) for line in text.splitlines())
+
+
+def test_ladder_report_hashes_match_golden(repo_root):
+    # the child alone runs at one BLAS thread; the ladder's worlds are
+    # the table in scripts/report_hashes.py
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, str(repo_root / "scripts" / "report_hashes.py"),
+                          "--seeds", "42"], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    got = _hash_table(out.stdout)
+    want = _hash_table((repo_root / "tests" / "golden" / "ladder.sha256").read_text())
+    moved = [w for w in sorted(want.keys() | got.keys()) if got.get(w) != want.get(w)]
+    assert not moved, f"report hash moved for: {', '.join(moved)}"
 
 
 def _record_calls(monkeypatch, real) -> list:
