@@ -13,11 +13,8 @@ from .analysis import (
     UbiquityWitness,
     Witness,
     build_twirled_world,
-    check_tomographic_completeness,
-    count_parameters,
     find_separating_invariant_effect,
     locality_verdict,
-    rank_stability,
     sector_block_residual,
     transformation_pair_witness,
     ubiquity_witnesses,
@@ -90,11 +87,9 @@ __all__ = [
     "canonical_bytes",
     "canonical_json",
     "check_steering_closure",
-    "check_tomographic_completeness",
     "collective_action",
     "compose_systems",
     "convex_membership",
-    "count_parameters",
     "find_separating_invariant_effect",
     "in_effect_set",
     "in_state_cone",
@@ -102,7 +97,6 @@ __all__ = [
     "numerical_rank",
     "parse_model",
     "qubit_octahedral_action",
-    "rank_stability",
     "render_text",
     "run_analysis",
     "sector_block_residual",

@@ -41,26 +41,41 @@ from .errors import (
 )
 from .symmetry import GroupAction, TwirlProjector
 
+_STABILITY_TOLS = (1e-10, 1e-9, 1e-8, 1e-7)  # rank_stable compares K at these and rank_tol
+
 
 @dataclass(frozen=True)
 class TwirledWorld:
     """A system restricted to its invariant states and effects.
 
-    k_effects is the rank of the averaged effect generators.  Their
-    orthonormal basis, invariant_effect_basis, is formed on first read
-    and kept: the locality verdict reads it for the parts, and nothing in
-    a run reads it for the composite, where it is the largest SVD.
+    build_twirled_world decides every rank once, at its rank_tol: K, the
+    rank of the averaged state generators (the parameter count);
+    k_effects, that of the averaged effect generators; pairing_rank, that
+    of the averaged effects against the invariant state basis; and
+    rank_stable, whether K is the same at rank_tol and at 1e-10, 1e-9,
+    1e-8 and 1e-7.  The world is complete when the three ranks agree: no
+    invariant state difference is invisible to invariant effects, and no
+    invariant effect difference is invisible on invariant states.
+
+    The basis of the averaged effects, invariant_effect_basis, is formed
+    on first read and kept: the verdict reads it for the parts, and
+    nothing in a run reads it for the composite, its largest SVD.
     """
 
     base: SystemSpec
     projector: TwirlProjector  # its .action is the averaged action
     world: SystemSpec
     invariant_state_basis: np.ndarray   # (dim, K) orthonormal columns
-    state_singular_values: np.ndarray   # of the averaged state generators, descending
     K: int
     k_effects: int
+    pairing_rank: int
+    rank_stable: bool
     fixed_point_residual: float
     validation: ValidationReport
+
+    @property
+    def complete(self) -> bool:
+        return self.pairing_rank == self.K == self.k_effects
 
     @cached_property
     def invariant_effect_basis(self) -> np.ndarray:
@@ -96,15 +111,18 @@ def build_twirled_world(s: SystemSpec, p: TwirlProjector, tol: float = DEFAULT_T
                        hilbert_dims=s.hilbert_dims, parts=s.parts)
     rep = validate_system(world, tol)
 
-    # one SVD of the state generators gives the basis and, through its
-    # singular values, K at any rank tolerance; the effects need only
-    # their rank here, so their singular vectors wait for a reader
+    # one SVD of the state generators gives the basis, K and its
+    # stability; the effects need only their rank here, so their singular
+    # vectors wait for a reader.  The averaged effects are C F with F the
+    # invariant effect basis and C of full column rank, so their pairing
+    # with the state basis has the rank of F against it.
     u, sv, _ = np.linalg.svd(tw_states, full_matrices=False)
     sbasis = u[:, :rank_of_singular_values(sv, rank_tol)]
-    return TwirledWorld(base=s, projector=p, world=world,
-                        invariant_state_basis=sbasis, state_singular_values=sv,
+    stable = len({rank_of_singular_values(sv, t) for t in _STABILITY_TOLS + (rank_tol,)}) == 1
+    return TwirledWorld(base=s, projector=p, world=world, invariant_state_basis=sbasis,
                         K=sbasis.shape[1], k_effects=numerical_rank(tw_effects, rank_tol),
-                        fixed_point_residual=fp, validation=rep)
+                        pairing_rank=numerical_rank(tw_effects @ sbasis, rank_tol),
+                        rank_stable=stable, fixed_point_residual=fp, validation=rep)
 
 
 def _check_physical(s: SystemSpec, a: GroupAction, tol: float) -> None:
@@ -129,17 +147,6 @@ def _check_physical(s: SystemSpec, a: GroupAction, tol: float) -> None:
             raise ActionNotPhysical(
                 f"element {lab!r} maps state generator {todo[idx[j]]} outside the state "
                 f"space (residual {res[j]:.3e})")
-
-
-def count_parameters(w: TwirledWorld, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of independent parameters of the invariant state family."""
-    return rank_of_singular_values(w.state_singular_values, rank_tol)
-
-
-def rank_stability(w: TwirledWorld, thresholds=(1e-10, 1e-9, 1e-8, 1e-7)) -> bool:
-    """The parameter count is the same at every threshold."""
-    counts = {count_parameters(w, t) for t in thresholds}
-    return len(counts) == 1
 
 
 @dataclass
@@ -170,33 +177,35 @@ def locality_verdict(wa: TwirledWorld, wb: TwirledWorld, wab: TwirledWorld,
                      rank_tol: float = DEFAULT_RANK_TOL) -> LocalityVerdict:
     """Parameter-counting criterion plus the direct definitional check.
 
-    The direct check pairs the span of products of invariant local
-    effects against the invariant joint states; a nontrivial null space
-    means some invariant state difference is invisible to all local
-    invariant statistics, and is turned into an explicit witness pair.
+    The counts are the worlds' own K, decided when they were built;
+    rank_tol is the cutoff for the rank of the pairing.  The direct check
+    pairs the span of products of invariant local effects against the
+    invariant joint states; a nontrivial null space means some invariant
+    state difference is invisible to all local invariant statistics, and
+    is turned into an explicit witness pair.
     When no pair can be built (no invariant effect separates it, the
     family is degenerate along the direction, or a step LP fails) the
     failed check stands and witness_error says why.
     """
     if wab.world.dim != wa.world.dim * wb.world.dim:
         raise InconsistentWorlds("joint world is not the composite of the parts")
-    ka = count_parameters(wa, rank_tol)
-    kb = count_parameters(wb, rank_tol)
-    kab = count_parameters(wab, rank_tol)
+    ka, kb, kab = wa.K, wb.K, wab.K
     criterion = kab > ka * kb
 
-    fa = wa.invariant_effect_basis
-    fb = wb.invariant_effect_basis
-    sab = wab.invariant_state_basis
-    prod_effects = np.kron(fa, fb)  # rows span the invariant product effects
-    pairing = prod_effects @ sab
-    prank = numerical_rank(pairing, rank_tol)
+    # rows span the invariant product effects; one SVD of their pairing
+    # with the joint states gives its rank and, as the right singular
+    # vector of the smallest singular value, the direction that no
+    # product effect sees
+    prod_effects = np.kron(wa.invariant_effect_basis, wb.invariant_effect_basis)
+    pairing = prod_effects @ wab.invariant_state_basis
+    _, sv, vt = np.linalg.svd(pairing)
+    prank = rank_of_singular_values(sv, rank_tol)
     direct_fails = prank < kab
 
     witness = witness_error = None
     if direct_fails:
         try:
-            witness = _build_witness(wa, wb, wab, pairing, tol)
+            witness = _build_witness(wa, wb, wab, vt[-1], tol)
         except (NotSeparable, SolverFailure) as exc:
             witness_error = str(exc)
     return LocalityVerdict(k_a=ka, k_b=kb, k_ab=kab,
@@ -207,11 +216,10 @@ def locality_verdict(wa: TwirledWorld, wb: TwirledWorld, wab: TwirledWorld,
 
 
 def _build_witness(wa: TwirledWorld, wb: TwirledWorld, wab: TwirledWorld,
-                   pairing: np.ndarray, tol: float) -> Witness:
-    # invisible direction: right singular vector of the pairing with the
-    # smallest singular value, lifted back to the joint space
-    _, _, vt = np.linalg.svd(pairing)
-    direction = wab.invariant_state_basis @ vt[-1]
+                   invisible: np.ndarray, tol: float) -> Witness:
+    # invisible: coordinates in the joint state basis of a direction no
+    # invariant product effect sees, lifted back to the joint space
+    direction = wab.invariant_state_basis @ invisible
     direction = direction / np.max(np.abs(direction))
 
     gens = wab.world.state_generators
@@ -326,31 +334,6 @@ def ubiquity_witnesses(projectors: tuple[TwirlProjector, TwirlProjector, TwirlPr
     sep = float(np.max(np.abs(corr - prod)))
     return UbiquityWitness(seed=seed, moving_label=moving, product_state=prod,
                            correlated_state=corr, separation=sep)
-
-
-@dataclass
-class CompletenessReport:
-    system_id: str
-    K: int
-    k_effects: int
-    pairing_rank: int
-    passed: bool
-
-
-def check_tomographic_completeness(w: TwirledWorld,
-                                   rank_tol: float = DEFAULT_RANK_TOL) -> CompletenessReport:
-    """Invariant effects fix invariant states, and vice versa.
-
-    The pairing of the averaged effect generators with the invariant
-    state basis must have rank K and rank k_effects: no invariant state
-    difference is invisible to invariant effects, and no invariant effect
-    difference is invisible on invariant states.  The averaged effects
-    are C F with F the invariant effect basis and C of full column rank,
-    so this is the rank of F against the state basis without forming F.
-    """
-    r = numerical_rank(w.world.effect_generators @ w.invariant_state_basis, rank_tol)
-    return CompletenessReport(system_id=w.world.id, K=w.K, k_effects=w.k_effects,
-                              pairing_rank=r, passed=(r == w.K and r == w.k_effects))
 
 
 @dataclass

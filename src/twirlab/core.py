@@ -537,9 +537,3 @@ def rank_of_singular_values(sv: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) 
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.sum(sv > rank_tol * sv[0]))
-
-
-def orthonormal_range(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the column span of m."""
-    u, sv, _ = np.linalg.svd(np.atleast_2d(np.asarray(m, dtype=float)), full_matrices=False)
-    return u[:, :rank_of_singular_values(sv, rank_tol)]

@@ -20,10 +20,8 @@ from .analysis import (
     LocalityVerdict,
     TwirledWorld,
     build_twirled_world,
-    check_tomographic_completeness,
     find_separating_invariant_effect,
     locality_verdict,
-    rank_stability,
     sector_block_residual,
     transformation_pair_witness,
     ubiquity_witnesses,
@@ -198,15 +196,14 @@ def twirl(run: AnalysisReport) -> None:
     for s, action in run.bundle.system_actions:
         tw = run.twirled[s.id] = build_twirled_world(
             s, run.projector(action), opt.tol, opt.rank_tol)
-        comp_rep = check_tomographic_completeness(tw, opt.rank_tol)
         section[s.id] = {
             "K": tw.K,
             "fixed_point_residual": float(tw.fixed_point_residual),
-            "rank_stable": rank_stability(tw),
+            "rank_stable": tw.rank_stable,
             "validation": _validation_dict(tw.validation),
             "completeness": {
-                "K": comp_rep.K, "invariant_effect_rank": comp_rep.k_effects,
-                "pairing_rank": comp_rep.pairing_rank, "passed": comp_rep.passed,
+                "K": tw.K, "invariant_effect_rank": tw.k_effects,
+                "pairing_rank": tw.pairing_rank, "passed": tw.complete,
             },
         }
     run.data["twirled"] = section

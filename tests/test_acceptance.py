@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from twirlab.analysis import build_twirled_world, count_parameters, rank_stability
+from twirlab.analysis import build_twirled_world
 from twirlab.catalog import (
     bosonic_parameter_counts,
     bosonic_sector_formula,
@@ -35,7 +35,7 @@ def test_criterion_1_spinor_parameter_counts(analyses, capsys):
     assert d["locality"]["criterion_fails_locality"]
     # integer ranks stable across rank thresholds 1e-10 .. 1e-7
     for tw in analyses["spinor_su2"].twirled.values():
-        assert rank_stability(tw, thresholds=(1e-10, 1e-9, 1e-8, 1e-7))
+        assert tw.rank_stable
     # and the same verdict through the command line
     assert main(["analyze", "builtin:spinor_su2?n=2", "--format", "json"]) == 0
     cli = json.loads(capsys.readouterr().out)
@@ -89,10 +89,10 @@ def test_criterion_3_boxworld_reproduction(repo_root, capsys):
             pair.state_plus, pair.state_minus, twa, twb) <= 1e-12
 
     # parameter table (2, 2, 5), floating rank against the exact rational rank
-    assert count_parameters(twa) == 2 == oracles.brute_force_invariant_rank(
+    assert twa.K == 2 == oracles.brute_force_invariant_rank(
         mf.bundle.parts[0].state_generators, mf.bundle.part_actions[0].elements)
-    assert count_parameters(twb) == 2
-    assert count_parameters(twab) == 5 == oracles.brute_force_invariant_rank(
+    assert twb.K == 2
+    assert twab.K == 5 == oracles.brute_force_invariant_rank(
         mf.bundle.composite.state_generators, mf.bundle.collective.elements)
     with capsys.disabled():
         _ok(3, "boxworld reproduction")

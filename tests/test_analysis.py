@@ -5,18 +5,20 @@ import oracles
 from twirlab import analysis
 from twirlab.analysis import (
     build_twirled_world,
-    check_tomographic_completeness,
-    count_parameters,
     find_separating_invariant_effect,
     locality_verdict,
-    rank_stability,
     sector_block_residual,
     transformation_pair_witness,
     ubiquity_witnesses,
     verify_local_indistinguishability,
 )
 from twirlab.catalog import build_world, classical_system
-from twirlab.core import CompositeSpec, compose_systems, numerical_rank, orthonormal_range
+from twirlab.core import (
+    CompositeSpec,
+    compose_systems,
+    numerical_rank,
+    rank_of_singular_values,
+)
 from twirlab.errors import (
     ActionNotPhysical,
     DimensionMismatch,
@@ -58,6 +60,13 @@ def unchecked_projector(bad: GroupAction) -> TwirlProjector:
                           idempotence_residual=0.0, commutation_residual=0.0)
 
 
+def _effect_span(effects: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the rows of effects, by the same SVD as
+    the twirled world's effect basis and a rank decided here."""
+    u, sv, _ = np.linalg.svd(effects.T, full_matrices=False)
+    return u[:, :rank_of_singular_values(sv)].T
+
+
 @pytest.fixture(scope="module")
 def cbit():
     return build_world("cbit_bitflip", {})
@@ -82,8 +91,7 @@ def test_twirled_bit_collapses_to_uniform(cbit_twirled):
         assert np.allclose(twa.world.state_generators[:, i], uniform)
     assert twa.fixed_point_residual <= 1e-15
     assert twa.validation.passed
-    assert count_parameters(twa) == 1
-    assert rank_stability(twa)
+    assert twa.rank_stable
 
 
 def test_twirled_world_keeps_unit_and_ids(cbit_twirled):
@@ -128,10 +136,8 @@ def test_action_dimension_guard():
 
 def test_completeness_of_twirled_bit(cbit_twirled):
     twa, _, twab = cbit_twirled
-    rep = check_tomographic_completeness(twa)
-    assert rep.passed and rep.K == 1 and rep.pairing_rank == 1
-    rep2 = check_tomographic_completeness(twab)
-    assert rep2.passed and rep2.K == 2
+    assert twa.complete and twa.K == 1 and twa.pairing_rank == 1
+    assert twab.complete and twab.K == 2
 
 
 @pytest.mark.parametrize("name,params", [("bosonic_u1", {"N": 2, "modes": 2}),
@@ -144,7 +150,7 @@ def test_run_forms_the_effect_basis_of_the_parts_only(name, params):
     for tw in (twa, twb):
         assert "invariant_effect_basis" in vars(tw)
         f = tw.invariant_effect_basis
-        expect = orthonormal_range(tw.world.effect_generators.T).T
+        expect = _effect_span(tw.world.effect_generators)
         assert f.shape[0] == tw.k_effects
         assert f.shape == expect.shape
         assert np.array_equal(f.view(np.uint64), expect.view(np.uint64))
@@ -159,12 +165,19 @@ def test_run_forms_the_effect_basis_of_the_parts_only(name, params):
 def test_completeness_ranks_match_the_effect_basis(name, params):
     # guard: the averaged effects span what their orthonormal basis F
     # spans, so both pair with the state basis at the same rank
+    twirled = []
     for s, action in build_world(name, params).system_actions:
         tw = build_twirled_world(s, twirl_projector(action))
-        f = orthonormal_range(tw.world.effect_generators.T).T
-        rep = check_tomographic_completeness(tw)
-        assert rep.k_effects == tw.k_effects == f.shape[0]
-        assert rep.pairing_rank == numerical_rank(f @ tw.invariant_state_basis)
+        f = _effect_span(tw.world.effect_generators)
+        assert tw.k_effects == f.shape[0]
+        assert tw.pairing_rank == numerical_rank(f @ tw.invariant_state_basis)
+        twirled.append(tw)
+    # guard: the rank the verdict reads off its pairing SVD is the
+    # values-only rank of the same pairing
+    twa, twb, twab = twirled
+    prod_effects = np.kron(twa.invariant_effect_basis, twb.invariant_effect_basis)
+    pairing = prod_effects @ twab.invariant_state_basis
+    assert locality_verdict(twa, twb, twab).pairing_rank == numerical_rank(pairing)
 
 
 # ------------------------------------------------------------ locality verdict
@@ -186,11 +199,29 @@ def test_cbit_fails_locality_with_witness(cbit_twirled):
     assert abs(gap - w.separating_gap) <= 1e-12
 
 
+def test_verdict_decomposes_its_pairing_once(cbit_twirled, monkeypatch):
+    twa, twb, twab = cbit_twirled
+    for tw in (twa, twb):
+        tw.invariant_effect_basis  # formed before the count starts
+    shape = (twa.k_effects * twb.k_effects, twab.K)
+    svd = np.linalg.svd
+    seen = []
+
+    def counting_svd(a, *args, **kwargs):
+        seen.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    v = locality_verdict(twa, twb, twab)
+    assert v.witness is not None
+    assert seen.count(shape) == 1
+
+
 def test_cbit_count_matches_exact_rational_rank(cbit, cbit_twirled):
     _, _, twab = cbit_twirled
     exact = oracles.brute_force_invariant_rank(
         cbit.composite.state_generators, cbit.collective.elements)
-    assert count_parameters(twab) == exact == 2
+    assert twab.K == exact == 2
 
 
 def test_one_sided_symmetry_is_locally_tomographic():

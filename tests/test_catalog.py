@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from twirlab import hermitian
-from twirlab.analysis import build_twirled_world, count_parameters, locality_verdict
+from twirlab.analysis import build_twirled_world, locality_verdict
 from twirlab.catalog import (
     BUILTINS,
     bosonic_parameter_counts,
@@ -56,7 +56,7 @@ def test_cbit_composite_carries_parity_rows():
 def test_pointer_invariant_count_is_the_orbit_count(n):
     w = build_world("pointer_discrete", {"n": n})
     tw = build_twirled_world(w.composite, twirl_projector(w.collective))
-    assert count_parameters(tw) == n == oracles.cyclic_orbit_count(n)
+    assert tw.K == n == oracles.cyclic_orbit_count(n)
 
 
 def test_cyclic_shift_action_order():
@@ -228,7 +228,7 @@ def test_boxworld_exact_invariant_ranks():
         w.composite.state_generators, w.collective.elements)
     assert local == 2 and joint == 5
     twab = build_twirled_world(w.composite, twirl_projector(w.collective))
-    assert count_parameters(twab) == joint
+    assert twab.K == joint
 
 
 @pytest.mark.parametrize("s", [0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0])

@@ -14,7 +14,7 @@ from twirlab import (
     validate_system,
 )
 from twirlab import core
-from twirlab.core import check_steering_closure, orthonormal_range
+from twirlab.core import check_steering_closure
 from twirlab.errors import (
     DimensionMismatch,
     InconsistentWorlds,
@@ -290,14 +290,3 @@ def test_numerical_rank_known_cases():
     # tiny perturbation below the relative cutoff does not bump the rank
     m2 = m + 1e-12 * np.random.default_rng(0).standard_normal(m.shape)
     assert numerical_rank(m2) == 1
-
-
-def test_orthonormal_range_spans():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 5))
-    q = orthonormal_range(m)
-    assert q.shape == (6, 2)
-    assert np.max(np.abs(q.T @ q - np.eye(2))) < 1e-10
-    # every column of m lies in the span of q
-    proj = q @ q.T
-    assert np.max(np.abs(proj @ m - m)) < 1e-9

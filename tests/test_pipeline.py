@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from twirlab import BUILTINS, core, pipeline, symmetry
+from twirlab.analysis import build_twirled_world
 from twirlab.catalog import WorldBundle, build_world, classical_system
 from twirlab.core import CompositeSpec, compose_systems
 from twirlab.model import parse_model
@@ -146,6 +147,18 @@ def test_render_text_sector_line():
     text = render_text(run_analysis(build_world("spinor_su2", {"n": 1})).data)
     assert "sector blocks" in text
     assert "[FAIL]" not in text
+
+
+def test_rank_stable_covers_the_run_rank_tol():
+    # at rank_tol 0.2 the composite keeps 16 of the 44 invariant
+    # directions, which the four fixed thresholds all keep
+    run = run_analysis(build_world("bosonic_u1", {"N": 3, "modes": 2}), Options(rank_tol=0.2))
+    assert run.data["twirled"]["AB"]["K"] == 16
+    assert run.data["twirled"]["AB"]["rank_stable"] is False
+    assert "twirled AB: valid world, K = 16, invariant tomography INCOMPLETE, " \
+        "RANK UNSTABLE" in render_text(run.data)
+    tw = run.twirled["AB"]
+    assert build_twirled_world(tw.base, tw.projector).rank_stable
 
 
 @pytest.mark.parametrize("tol, residual, flag", [(1e-6, 1e-8, "pass"),

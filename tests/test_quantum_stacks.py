@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from twirlab import hermitian, pipeline
-from twirlab.analysis import build_twirled_world, count_parameters, sector_block_residual
+from twirlab.analysis import build_twirled_world, sector_block_residual
 from twirlab.catalog import build_world
 from twirlab.core import numerical_rank
 from twirlab.pipeline import Options, run_analysis
@@ -149,9 +149,13 @@ def test_report_bytes_equal_the_per_row_rebuild(name, params, monkeypatch):
 def test_parameter_counts_come_from_the_one_svd(name, params):
     _, twirled = _twirled(name, params)
     for tw in twirled:
-        assert count_parameters(tw) == tw.K
+        assert tw.K == numerical_rank(tw.world.state_generators)
+        ks = set()
         for t in (1e-10, 1e-9, 1e-8, 1e-7):
-            assert count_parameters(tw, t) == numerical_rank(tw.world.state_generators, t)
+            k = build_twirled_world(tw.base, tw.projector, rank_tol=t).K
+            assert k == numerical_rank(tw.world.state_generators, t)
+            ks.add(k)
+        assert tw.rank_stable == (len(ks) == 1)
 
 
 def test_vectorize_dims_rejects_non_hermitian_operators():
